@@ -91,7 +91,8 @@ def _undirected_adjacency(g: TopicNetwork, collapse: bool) -> dict:
     return adj
 
 
-def _fit_term(m: int, m_in: int, s2: float) -> float:
+def _fit_term(m: int, m_in: int, s2: int) -> float:
+    """Pooled-rate log-likelihood; 0.0 for an edgeless graph (then s2 == 0)."""
     fit = 0.0
     if m_in > 0:
         fit += m_in * math.log(2.0 * m_in / s2)
@@ -102,10 +103,9 @@ def _fit_term(m: int, m_in: int, s2: float) -> float:
     return fit
 
 
-def _dl_value(n_nodes: int, m: int, sizes: Iterable[int], degsums: Iterable[float],
+def _dl_value(n_nodes: int, m: int, sizes: Iterable[int], degsums: Iterable[int],
               m_in: int) -> float:
-    s2 = sum(d * d for d in degsums)
-    fit = _fit_term(m, m_in, s2) if s2 > 0 else 0.0
+    fit = _fit_term(m, m_in, sum(d * d for d in degsums))
     model = math.lgamma(n_nodes + 1) - sum(math.lgamma(n + 1) for n in sizes)
     model += math.log(n_nodes)
     return -fit + model
@@ -149,11 +149,14 @@ def description_length(g: TopicNetwork, assignment: Mapping,
 
 
 class _SearchState:
-    """Mutable partition state with O(degree) move evaluation.
+    """Mutable partition state with O(degree + k) move evaluation.
 
-    Tracks block sizes, block degree sums, the block-pair edge matrix,
-    and the internal-edge total, which together determine the description
-    length.
+    Tracks block sizes, integer block degree sums, their sum of squares
+    ``s2``, the internal-edge total ``m_in`` and the current fit term. A
+    node move changes only its source and target blocks, so once the
+    node's edge weights into each block are counted (O(degree + k)), the
+    description-length change for each target takes O(1) (Peixoto, PRE
+    89, 012804, 2014). ``dl()`` stays a full recompute.
     """
 
     def __init__(self, nodes, adj, max_groups: int):
@@ -167,11 +170,10 @@ class _SearchState:
         ]
         self.deg = [sum(c for _, c in nbrs) for nbrs in self.adj]
         self.m = sum(self.deg) // 2
+        # log(x) for block sizes 0..n; log[0] is never read
+        self.log = [0.0] + [math.log(x) for x in range(1, self.n + 1)]
         self.assignment = [0] * self.n
-        self.sizes = [0] * max_groups
-        self.degsum = [0.0] * max_groups
-        self.pair = [[0] * max_groups for _ in range(max_groups)]
-        self.m_in = 0
+        self._rebuild()
 
     def init_random(self, rng: random.Random) -> None:
         self.assignment = [rng.randrange(self.k) for _ in range(self.n)]
@@ -179,23 +181,17 @@ class _SearchState:
 
     def _rebuild(self) -> None:
         self.sizes = [0] * self.k
-        self.degsum = [0.0] * self.k
-        self.pair = [[0] * self.k for _ in range(self.k)]
+        self.degsum = [0] * self.k
+        self.m_in = 0
         for i in range(self.n):
             b = self.assignment[i]
             self.sizes[b] += 1
             self.degsum[b] += self.deg[i]
-        for i in range(self.n):
-            bi = self.assignment[i]
             for j, c in self.adj[i]:
-                if j > i:
-                    bj = self.assignment[j]
-                    if bi == bj:
-                        self.pair[bi][bi] += c
-                    else:
-                        self.pair[bi][bj] += c
-                        self.pair[bj][bi] += c
-        self.m_in = sum(self.pair[b][b] for b in range(self.k))
+                if j > i and self.assignment[j] == b:
+                    self.m_in += c
+        self.s2 = sum(d * d for d in self.degsum)
+        self.fit = _fit_term(self.m, self.m_in, self.s2)
 
     def dl(self) -> float:
         return _dl_value(self.n, self.m, self.sizes, self.degsum, self.m_in)
@@ -208,65 +204,80 @@ class _SearchState:
             w[assignment[j]] += c
         return w
 
-    def dl_if_moved(self, i: int, target: int, w: list) -> float:
-        src = self.assignment[i]
-        if target == src:
-            return self.dl()
-        d = self.deg[i]
-        sizes = self.sizes
-        degsum = self.degsum
-        old = (sizes[src], sizes[target], degsum[src], degsum[target])
-        sizes[src] -= 1
-        sizes[target] += 1
-        degsum[src] -= d
-        degsum[target] += d
-        m_in = self.m_in - w[src] + w[target]
-        value = _dl_value(self.n, self.m, sizes, degsum, m_in)
-        sizes[src], sizes[target], degsum[src], degsum[target] = old
-        return value
+    def deltas(self, i: int, w: list, targets: Iterable[int]) -> list:
+        """Description-length change of moving node i into each of
+        ``targets`` (0.0 for its own block), given its block weights ``w``.
 
-    def move(self, i: int, target: int) -> None:
+        The fit term is ``_fit_term`` written out, the same operations in
+        the same order: a Python call per target measurably slows the sweep.
+        """
+        src = self.assignment[i]
+        d2 = 2 * self.deg[i]
+        m, fit, log, sizes, degsum = self.m, self.fit, self.log, self.sizes, self.degsum
+        # after a move to t: m_in + w[t] - w[src], s2 + 2d(degsum[t] - degsum[src] + d),
+        # and the size term changes by log(sizes[src]) - log(sizes[t] + 1)
+        m_in_base = self.m_in - w[src]
+        s2_base = self.s2 - d2 * degsum[src] + d2 * self.deg[i]
+        model = log[sizes[src]]
+        a2 = (2.0 * m) * (2.0 * m)
+        out = []
+        for t in targets:
+            if t == src:
+                out.append(0.0)
+                continue
+            m_in = m_in_base + w[t]
+            s2 = s2_base + d2 * degsum[t]
+            m_out = m - m_in
+            f = 0.0
+            if m_in > 0:
+                f += m_in * math.log(2.0 * m_in / s2)
+            if m_out > 0:
+                f += m_out * math.log(2.0 * m_out / (a2 - s2))
+            out.append(fit - f + model - log[sizes[t] + 1])
+        return out
+
+    def move(self, i: int, target: int, w: list) -> None:
         src = self.assignment[i]
         if target == src:
             return
         d = self.deg[i]
+        self.s2 += 2 * d * (self.degsum[target] - self.degsum[src] + d)
+        self.m_in += w[target] - w[src]
         self.sizes[src] -= 1
         self.sizes[target] += 1
         self.degsum[src] -= d
         self.degsum[target] += d
-        for j, c in self.adj[i]:
-            b = self.assignment[j]
-            if b == src:
-                self.pair[src][src] -= c
-            else:
-                self.pair[src][b] -= c
-                self.pair[b][src] -= c
-            if b == target:
-                self.pair[target][target] += c
-            else:
-                self.pair[target][b] += c
-                self.pair[b][target] += c
         self.assignment[i] = target
-        self.m_in = sum(self.pair[b][b] for b in range(self.k))
+        self.fit = _fit_term(self.m, self.m_in, self.s2)
 
     def sweep(self, order: list) -> int:
+        """Move each node to the block that lowers the DL most (by more than
+        _EPS, ties to the smaller block id); returns the number of moves."""
         moves = 0
+        blocks = range(self.k)
         for i in order:
             w = self.block_weights(i)
-            current = self.dl()
-            best_target = self.assignment[i]
-            best_dl = current
-            for target in range(self.k):
-                if target == self.assignment[i]:
-                    continue
-                candidate = self.dl_if_moved(i, target, w)
-                if candidate < best_dl - _EPS:
-                    best_dl = candidate
-                    best_target = target
-            if best_target != self.assignment[i]:
-                self.move(i, best_target)
+            deltas = self.deltas(i, w, blocks)
+            src = best = self.assignment[i]
+            for t in blocks:
+                if deltas[t] < deltas[best] - _EPS:
+                    best = t
+            if best != src:
+                self.move(i, best, w)
                 moves += 1
         return moves
+
+    def _pair_weights(self) -> Counter:
+        """Edge multiplicity between each pair of distinct blocks (r < s)."""
+        pair: Counter = Counter()
+        assignment = self.assignment
+        for i in range(self.n):
+            bi = assignment[i]
+            for j, c in self.adj[i]:
+                bj = assignment[j]
+                if bi < bj:
+                    pair[bi, bj] += c
+        return pair
 
     def merge_pass(self) -> bool:
         """Greedily merge block pairs while it lowers the description length."""
@@ -275,6 +286,7 @@ class _SearchState:
             current = self.dl()
             best = None
             best_dl = current
+            pair = self._pair_weights()
             occupied = [b for b in range(self.k) if self.sizes[b] > 0]
             for ai in range(len(occupied)):
                 for bi in range(ai + 1, len(occupied)):
@@ -284,8 +296,8 @@ class _SearchState:
                     sizes[r] += sizes[s]
                     sizes[s] = 0
                     degsum[r] += degsum[s]
-                    degsum[s] = 0.0
-                    m_in = self.m_in + self.pair[r][s]
+                    degsum[s] = 0
+                    m_in = self.m_in + pair[r, s]
                     candidate = _dl_value(self.n, self.m, sizes, degsum, m_in)
                     if candidate < best_dl - _EPS:
                         best_dl = candidate
@@ -314,15 +326,14 @@ class _SearchState:
             members = [i for i in range(self.n) if self.assignment[i] == b]
             for i in members:
                 if rng.random() < 0.5:
-                    self.move(i, target)
+                    self.move(i, target, self.block_weights(i))
             for _ in range(mini_sweeps):
                 moved = 0
                 for i in members:
                     w = self.block_weights(i)
-                    stay = self.assignment[i]
-                    other = target if stay == b else b
-                    if self.dl_if_moved(i, other, w) < self.dl() - _EPS:
-                        self.move(i, other)
+                    other = target if self.assignment[i] == b else b
+                    if self.deltas(i, w, (other,))[0] < -_EPS:
+                        self.move(i, other, w)
                         moved += 1
                 if not moved:
                     break
@@ -366,9 +377,9 @@ def _single_run(state: _SearchState, iters: int, run_seed: int) -> RunRecord:
 
 
 def _run_worker(args) -> tuple[RunRecord, list[int]]:
-    """One independent run with private state (process-pool friendly)."""
-    nodes_sorted, adj, max_groups, iters, run_seed = args
-    state = _SearchState(nodes_sorted, adj, max_groups)
+    """One independent run (process-pool friendly). Each run starts by
+    re-drawing the whole assignment, so runs can share one state object."""
+    state, iters, run_seed = args
     record = _single_run(state, iters, run_seed)
     return record, list(state.assignment)
 
@@ -405,19 +416,20 @@ def detect_structural_groups_with_diagnostics(
     smaller block id), with a merge/split pass every 10 sweeps and on
     convergence. The best run wins by description length; exact ties fall
     to the lexicographically smallest canonical labeling. Fixing the seed
-    fixes the full output, with any worker count: runs own private state
-    and the best-of reduction is order-independent.
+    fixes the full output, with any worker count: each run redraws the whole
+    search state from its own seed, and the best-of reduction is
+    order-independent.
     """
     if len(g.nodes) == 0:
         raise ValueError("cannot detect groups on an empty graph")
     if max_groups < 1:
         raise ValueError("max_groups must be at least 1")
     adj = _undirected_adjacency(g, collapse_multigraph)
-    adj = {u: dict(nbrs) for u, nbrs in adj.items()}
     nodes_sorted = sorted(g.nodes)
     master = random.Random(seed)
     run_seeds = [master.randrange(2**63) for _ in range(runs)]
-    jobs = [(nodes_sorted, adj, max_groups, iters, rs) for rs in run_seeds]
+    state = _SearchState(nodes_sorted, adj, max_groups)
+    jobs = [(state, iters, rs) for rs in run_seeds]
 
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -429,8 +441,10 @@ def detect_structural_groups_with_diagnostics(
 
     # the trivial one-block partition is always on the table, so a bad
     # search budget can never return something worse than "no structure"
+    # (description_length() of it reduces to this _dl_value call)
     single = {node: 0 for node in nodes_sorted}
-    candidates = [(description_length(g, single, collapse_multigraph), single, 1)]
+    n, m = state.n, state.m
+    candidates = [(_dl_value(n, m, [n], [2 * m], m), single, 1)]
     records: list[RunRecord] = []
     for record, assignment in results:
         records.append(record)

@@ -31,7 +31,7 @@ from .annotate import (
 )
 from .config import STAGES, PipelineConfig, config_hash, config_to_dict, stage_seed
 from .crosstopic import alignment_matrix, jaccard_matrix, joint_stance_table, topic_hypergraph
-from .errors import HashMismatchError, StageError
+from .errors import ConfigError, HashMismatchError, PolarnetError, StageError
 from .graphs import (
     build_bipartite,
     export_csv,
@@ -135,11 +135,14 @@ def stage_ingest(config: PipelineConfig, run_dir: Path):
         )
     acc = StatsAccumulator(downtime=config.downtime, window=window_days)
     events = []
+    parse_errors = 0
     for path in inputs:
+        errors: list = []
         with path.open(encoding="utf-8") as fh:
-            for event in parse_stream(fh):
+            for event in parse_stream(fh, errors):
                 acc.add(event)
                 events.append(event)
+        parse_errors += len(errors)
     stats = acc.finalize()
     posts, reposts = build_post_records(events)
     del events
@@ -158,6 +161,7 @@ def stage_ingest(config: PipelineConfig, run_dir: Path):
             "window": [d.isoformat() for d in stats.window] if stats.window else None,
             "non_create_events": stats.non_create_events,
             "other_collection_events": stats.other_collection_events,
+            "parse_errors": parse_errors,
             "per_type": {k: asdict(v) for k, v in stats.per_type.items()},
         },
     )
@@ -691,9 +695,10 @@ def run_pipeline(
         started = time.perf_counter()
         try:
             inputs, outputs = _STAGE_FNS[stage](config, run_dir)
-        except StageError:
+        except (StageError, ConfigError):
+            # a configuration error keeps its own type (and CLI exit code)
             raise
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, ValueError, PolarnetError) as exc:
             raise StageError(stage, f"{type(exc).__name__}: {exc}") from exc
         manifest = StageManifest(
             stage=stage,

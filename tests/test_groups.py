@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from collections import Counter
@@ -10,6 +11,8 @@ from polarnet.graphs import TopicNetwork
 from polarnet.groups import (
     Partition,
     StanceGrouping,
+    _SearchState,
+    _undirected_adjacency,
     content_groups,
     description_length,
     detect_structural_groups,
@@ -224,6 +227,128 @@ class TestDetection:
             if b not in seen:
                 seen.append(b)
         assert seen == list(range(part.b))
+
+
+def random_multigraph(seed):
+    """Seeded multigraph: directed multiplicities 1-3, both directions of a
+    pair possible, and one isolated node."""
+    rng = random.Random(seed)
+    nodes = [f"n{i:02d}" for i in range(rng.randrange(6, 16))]
+    mult = Counter()
+    for u in nodes:
+        for v in nodes:
+            if u != v and rng.random() < 0.2:
+                mult[(u, v)] = rng.randrange(1, 4)
+    return TopicNetwork("t", "reposts", None, set(nodes) | {"zz"}, mult)
+
+
+def search_state(g, max_groups):
+    return _SearchState(sorted(g.nodes), _undirected_adjacency(g, False), max_groups)
+
+
+def state_assignment(state):
+    return {node: state.assignment[i] for i, node in enumerate(state.nodes)}
+
+
+def assert_matches_rebuild(state):
+    fresh = copy.copy(state)
+    fresh.assignment = list(state.assignment)
+    fresh._rebuild()
+    for attr in ("sizes", "degsum", "s2", "m_in", "fit"):
+        assert getattr(state, attr) == getattr(fresh, attr), attr
+
+
+class TestSearchStateInvariants:
+    """The incremental search state against full recomputation."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_moves_match_rebuild_and_full_dl(self, seed):
+        g = random_multigraph(seed)
+        rng = random.Random(1000 + seed)
+        k = rng.randrange(2, 7)
+        state = search_state(g, k)
+        state.init_random(rng)
+        assert_matches_rebuild(state)
+        for _ in range(80):
+            i = rng.randrange(state.n)
+            src = state.assignment[i]
+            target = rng.choice([b for b in range(k) if b != src])
+            w = state.block_weights(i)
+            assert state.deltas(i, w, [src]) == [0.0]
+            delta = state.deltas(i, w, [target])[0]
+            before = description_length(g, state_assignment(state))
+            state.move(i, target, w)
+            after = description_length(g, state_assignment(state))
+            assert delta == pytest.approx(after - before, abs=1e-9)
+            assert_matches_rebuild(state)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dl_matches_full_recompute_after_every_sweep(self, seed, monkeypatch):
+        graphs = [random_multigraph(seed), planted_partition_graph(60, 2, 0.3, 0.03, seed=seed)[0]]
+        checked = []
+        original = _SearchState.sweep
+
+        def checked_sweep(state, order):
+            moves = original(state, order)
+            assert_matches_rebuild(state)
+            assert state.dl() == pytest.approx(
+                description_length(g, state_assignment(state)), abs=1e-9
+            )
+            checked.append(moves)
+            return moves
+
+        monkeypatch.setattr(_SearchState, "sweep", checked_sweep)
+        for g in graphs:
+            checked.clear()
+            _, records = detect_structural_groups_with_diagnostics(g, runs=4, iters=20, seed=seed)
+            assert len(checked) == sum(r.sweeps for r in records) > 0
+
+
+# Outputs recorded before the search state became incremental. Any change to
+# move evaluation that flips one _EPS-guarded decision changes these.
+PINNED_PLANTED = (
+    "000000000000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000011111111111111111111101111111111111111111111"
+    "11111111111111111111111111111111011111111111111111111111"
+)
+PINNED_PLANTED_RUNS = [
+    (3, 7675.6002152648125), (3, 7942.386774720429), (11, 7675.6002152648125),
+    (9, 7675.6002152648125), (3, 7675.6002152648125), (2, 7942.386774720429),
+    (7, 8036.910129089803), (3, 7942.386774720429), (2, 7942.386774720429),
+    (8, 8039.960698669012), (9, 7675.6002152648125), (9, 7675.6002152648125),
+    (11, 7675.6002152648125), (2, 7942.386774720429), (11, 7675.6002152648125),
+]
+PINNED_MULTI_EDGES = [
+    ("a0", "a1", 3), ("a1", "a0", 1), ("a1", "a2", 2), ("a2", "a3", 4), ("a3", "a4", 2),
+    ("a4", "a5", 3), ("a5", "a0", 2), ("a0", "a3", 1), ("a1", "a4", 2),
+    ("b0", "b1", 2), ("b1", "b2", 3), ("b2", "b3", 2), ("b3", "b4", 4), ("b4", "b5", 2),
+    ("b5", "b0", 3), ("b0", "b3", 2), ("b2", "b5", 1),
+    ("a0", "b0", 1), ("a2", "b3", 1), ("b5", "a5", 2),
+]
+PINNED_MULTI_RUNS = [
+    (2, 182.60487844922994), (3, 185.07075180760262), (4, 193.82208702574022),
+    (4, 176.4716061801488), (3, 176.4716061801488), (8, 176.4716061801488),
+    (4, 176.4716061801488), (3, 185.07075180760262), (2, 176.4716061801488),
+    (2, 182.60487844922994), (3, 182.60487844922994), (3, 186.60456657338972),
+    (4, 182.60487844922994), (3, 194.10188309636234), (3, 176.4716061801488),
+]
+
+
+class TestPinnedOutputs:
+    def check(self, g, seed, labels, b, dl, runs):
+        part, records = detect_structural_groups_with_diagnostics(g, seed=seed)
+        assert "".join(str(part.assignment[n]) for n in sorted(g.nodes)) == labels
+        assert (part.b, part.dl) == (b, dl)
+        assert [(r.sweeps, r.dl) for r in records] == runs
+
+    def test_planted_partition(self):
+        g, _ = planted_partition_graph(200, 2, 0.1, 0.01, seed=0)
+        self.check(g, 9000, PINNED_PLANTED, 2, 7675.6002152648125, PINNED_PLANTED_RUNS)
+
+    def test_multigraph_with_isolated_node(self):
+        g = net(PINNED_MULTI_EDGES, nodes=[e[0] for e in PINNED_MULTI_EDGES] + ["z"])
+        assert max(g.multiplicity.values()) > 1
+        self.check(g, 3, "0101011010100", 2, 176.4716061801488, PINNED_MULTI_RUNS)
 
 
 class TestContentGroups:

@@ -1,10 +1,12 @@
 import json
+import socket
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import fixture_config
-from polarnet.config import config_hash, load_config, stage_seed
+from polarnet.config import PROVIDER_URL_ENV, ProviderConfig, config_hash, load_config, stage_seed
 from polarnet.errors import ConfigError, HashMismatchError, StageError
 from polarnet.pipeline import run_dir_for, run_pipeline
 
@@ -196,6 +198,48 @@ class TestFailFast:
         with pytest.raises(StageError) as exc:
             run_pipeline(config, stages=["ingest"])
         assert exc.value.stage == "ingest"
+
+    def test_unreachable_provider_names_annotate(self, event_fixture, tmp_path, monkeypatch):
+        monkeypatch.delenv(PROVIDER_URL_ENV, raising=False)
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        # the port is closed again, so every request is refused
+        event_path, _ = event_fixture
+        config = replace(
+            fixture_config(event_path, tmp_path),
+            provider=ProviderConfig(kind="http", url=f"http://127.0.0.1:{port}/annotate"),
+        )
+        with pytest.raises(StageError) as exc:
+            run_pipeline(config, stages=["ingest", "annotate"])
+        assert exc.value.stage == "annotate"
+        assert "TransportError" in exc.value.reason
+
+    def test_provider_without_url_stays_config_error(self, event_fixture, tmp_path, monkeypatch):
+        monkeypatch.delenv(PROVIDER_URL_ENV, raising=False)
+        event_path, _ = event_fixture
+        config = replace(fixture_config(event_path, tmp_path), provider=ProviderConfig(kind="http"))
+        with pytest.raises(ConfigError):
+            run_pipeline(config, stages=["ingest", "annotate"])
+
+
+class TestParseErrors:
+    def test_malformed_lines_counted(self, event_fixture, tmp_path):
+        event_path, _ = event_fixture
+        lines = event_path.read_text(encoding="utf-8").splitlines()
+        malformed = ["{not json", '{"kind": "unknown"}', "[]"]
+        dump = tmp_path / "events.jsonl"
+        # blank lines are skipped, not counted
+        mixed = (lines[:100] + [malformed[0], ""] + lines[100:5000] + [malformed[1]]
+                 + lines[5000:] + [malformed[2]])
+        dump.write_text("\n".join(mixed) + "\n", encoding="utf-8")
+        counts = []
+        for path in (event_path, dump):
+            config = fixture_config(path, tmp_path / path.stem)
+            run_pipeline(config, stages=["ingest"])
+            stats_path = run_dir_for(config) / "stats" / "activity_stats.json"
+            counts.append(json.loads(stats_path.read_text())["parse_errors"])
+        assert counts == [0, len(malformed)]
 
 
 class TestConfig:
