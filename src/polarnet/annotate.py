@@ -88,8 +88,6 @@ DEFAULT_TOPICS = (
     TopicSpec("ai", "AI", "supports_ai", "opposes_ai"),
 )
 
-PARENT_TOPIC_IDS = tuple(t.id for t in DEFAULT_TOPICS)
-
 
 @dataclass(frozen=True)
 class ThemeLabel:
@@ -231,32 +229,6 @@ def theme_distribution(
         share_of_all=share_all,
         share_of_political=share_political,
     )
-
-
-@dataclass
-class ClusterRecord:
-    """A semantic cluster of posts with its theme histogram."""
-
-    cluster_id: str
-    member_posts: list[str]
-    theme_histogram: dict[str, int]
-
-    @property
-    def size(self) -> int:
-        return len(self.member_posts)
-
-
-def classify_cluster(cluster: ClusterRecord, threshold: float = 0.75) -> bool:
-    """True when the cluster is political.
-
-    A cluster is apolitical when the Non-Political share reaches the
-    threshold (boundary inclusive), political otherwise.
-    """
-    total = sum(cluster.theme_histogram.values())
-    if total == 0:
-        raise ValueError(f"cluster {cluster.cluster_id} has no labeled members")
-    non_political = cluster.theme_histogram.get(NON_POLITICAL, 0)
-    return (non_political / total) < threshold
 
 
 class LabelStore:

@@ -8,140 +8,81 @@ other subcommands expose individual stages for ad-hoc use. Exit codes:
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .annotate import (
     DEFAULT_TOPICS,
-    annotate_stances,
+    OTHER_TOPIC,
     annotate_themes,
     annotate_topics,
-    stance_store,
     theme_store,
     topic_store,
 )
-from .config import PipelineConfig, config_from_dict, load_config
-from .errors import ConfigError, PolarnetError, StageError
-from .graphs import (
-    build_bipartite,
-    export_csv,
-    load_graph,
-    network_stats,
-    parse_window,
-    project_reposts,
-    read_nodes_tsv,
-    save_graph,
-    window_dirname,
-    write_nodes_tsv,
+from .config import STAGES, DetectionConfig, FilterConfig, SampleConfig, load_config
+from .errors import ConfigError, PolarnetError
+from .graphs import network_stats, parse_window
+from .groups import Partition, StanceGrouping, group_composition
+from .pipeline import (
+    annotate_topic_stances,
+    filter_posts,
+    input_files,
+    load_posts,
+    load_reposts,
+    load_stances,
+    load_topic_graph,
+    read_assignment,
+    read_events,
+    run_dir_for,
+    run_pipeline,
+    sample_posts,
+    stage_report,
+    write_activity_stats,
+    write_content_groups,
+    write_posts,
+    write_reposts,
+    write_structural_groups,
+    write_topic_graph,
 )
-from .groups import (
-    Partition,
-    StanceGrouping,
-    content_groups,
-    detect_structural_groups_with_diagnostics,
-    group_composition,
-)
-from .ingest import (
-    StatsAccumulator,
-    build_post_records,
-    filter_corpus,
-    parse_stream,
-    post_from_json,
-    post_to_json,
-    repost_from_json,
-    repost_to_json,
-    sample_corpus,
-)
-from .pipeline import run_dir_for, run_pipeline, stage_report
 from .providers import provider_from_spec
+from .report import write_json
 
-log = logging.getLogger("polarnet")
-
-
-def _read_events(patterns):
-    files = []
-    for pattern in patterns:
-        matches = sorted(glob.glob(pattern))
-        files.extend(Path(m) for m in matches) if matches else files.append(Path(pattern))
-    for path in files:
-        with path.open(encoding="utf-8") as fh:
-            yield from parse_stream(fh)
-
-
-def _load_posts_file(path):
-    with Path(path).open(encoding="utf-8") as fh:
-        return [post_from_json(line) for line in fh if line.strip()]
-
-
-def _write_posts_file(posts, path):
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for p in posts:
-            fh.write(post_to_json(p) + "\n")
+# Stage subcommands run without a config: their JSON artifacts carry no
+# config hash, and every --seed is a master seed, derived per stage as in run.
 
 
 # --- ingest ----------------------------------------------------------------
 
 
 def cmd_ingest_stats(args):
-    window = None
-    if args.window:
-        start, end = parse_window(args.window)
-        window = (start.date(), end.date())
-    acc = StatsAccumulator(window=window)
-    for event in _read_events(args.input):
-        acc.add(event)
-    stats = acc.finalize()
+    window = parse_window(args.window) if args.window else None
+    stats, parse_errors, _, _ = read_events(input_files(args.input), window)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "activity_stats.json").write_text(
-        json.dumps(
-            {
-                "observed_days": stats.observed_days,
-                "window": [d.isoformat() for d in stats.window] if stats.window else None,
-                "per_type": {k: asdict(v) for k, v in stats.per_type.items()},
-                "non_create_events": stats.non_create_events,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    with (out / "activity_daily.csv").open("w", encoding="utf-8") as fh:
-        fh.write("date,action_type,actions,distinct_authors\n")
-        for (day, kind), (actions, authors) in sorted(stats.daily.items()):
-            fh.write(f"{day.isoformat()},{kind},{actions},{authors}\n")
+    write_activity_stats(out, stats, parse_errors, None)
     print(f"wrote activity stats for {stats.observed_days:.2f} observed days to {out}")
     return 0
 
 
 def cmd_ingest_filter(args):
-    posts, reposts = build_post_records(_read_events(args.input))
-    kept = filter_corpus(
-        sorted(posts.values(), key=lambda p: p.uri),
-        min_reposts=args.min_reposts,
-        min_chars=args.min_chars,
-        lang=args.lang,
-    )
-    _write_posts_file(kept, args.out)
+    _, _, posts, reposts = read_events(input_files(args.input))
+    filters = FilterConfig(min_reposts=args.min_reposts, min_chars=args.min_chars,
+                           lang=args.lang)
+    kept = filter_posts(posts, filters)
+    write_posts(Path(args.out), kept)
     if args.reposts_out:
-        with Path(args.reposts_out).open("w", encoding="utf-8") as fh:
-            for r in sorted(reposts, key=lambda r: (r.timestamp, r.reposter, r.subject_uri)):
-                fh.write(repost_to_json(r) + "\n")
+        write_reposts(Path(args.reposts_out), reposts)
     print(f"kept {len(kept)} of {len(posts)} posts")
     return 0
 
 
 def cmd_ingest_sample(args):
-    posts = _load_posts_file(args.input)
-    sampled = sample_corpus(
-        posts, fraction=args.fraction, seed=args.seed, stratify_by_day=args.stratify_by_day
-    )
-    _write_posts_file(sampled, args.out)
+    posts = load_posts(Path(args.input))
+    sample = SampleConfig(fraction=args.fraction, stratify_by_day=args.stratify_by_day)
+    sampled = sample_posts(posts, sample, args.seed)
+    write_posts(Path(args.out), sampled)
     print(f"sampled {len(sampled)} of {len(posts)} posts")
     return 0
 
@@ -153,41 +94,35 @@ def cmd_annotate(args):
     provider = provider_from_spec(args.provider)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    posts = _load_posts_file(args.input)
+    posts = load_posts(Path(args.input))
     if args.what == "themes":
-        store = theme_store(out / "themes.jsonl")
-        outcome = annotate_themes(posts, provider, store)
+        outcome = annotate_themes(posts, provider, theme_store(out / "themes.jsonl"))
     elif args.what == "topics":
         themes = theme_store(args.themes).mapping()
-        store = topic_store(out / "topics.jsonl")
-        outcome = annotate_topics(posts, themes, provider, store)
-    else:  # stances
-        topic_map = topic_store(args.topic_labels).mapping()
-        reposts = []
-        if args.reposts:
-            with Path(args.reposts).open(encoding="utf-8") as fh:
-                reposts = [repost_from_json(line) for line in fh if line.strip()]
-        by_uri = {p.uri: p for p in posts}
-        specs = [t for t in DEFAULT_TOPICS if args.topic in (None, t.id)]
-        outcome = None
-        for spec in specs:
-            corpora = {}
-            for uri, label in topic_map.items():
-                if label == spec.id and uri in by_uri:
-                    corpora.setdefault(by_uri[uri].author, []).append(by_uri[uri])
-            for r in reposts:
-                if topic_map.get(r.subject_uri) == spec.id and r.subject_uri in by_uri:
-                    corpora.setdefault(r.reposter, []).append(by_uri[r.subject_uri])
-            if not corpora:
-                continue
-            store = stance_store(out / f"stances_{spec.id}.jsonl")
-            outcome = annotate_stances(
-                corpora, spec, provider, store, k=args.k, seed=args.seed
-            )
-            print(f"{spec.id}: {outcome.labeled} users classified, "
-                  f"{len(outcome.skipped)} skipped")
-        return 0
+        outcome = annotate_topics(posts, themes, provider, topic_store(out / "topics.jsonl"))
+    else:
+        return _annotate_stances(args, posts, provider, out)
     print(f"labeled {outcome.labeled}, skipped {len(outcome.skipped)}")
+    return 0
+
+
+def _annotate_stances(args, posts, provider, out):
+    topic_map = topic_store(args.topic_labels).mapping()
+    ids = [args.topic] if args.topic else sorted(set(topic_map.values()) - {OTHER_TOPIC})
+    specs = {t.id: t for t in DEFAULT_TOPICS}
+    unknown = [t for t in ids if t not in specs]
+    if unknown:
+        raise ConfigError(
+            f"no default topic spec for {', '.join(unknown)}; label such topics "
+            "from a config with 'polarnet run --stages annotate'"
+        )
+    reposts = load_reposts(Path(args.reposts)) if args.reposts else []
+    by_uri = {p.uri: p for p in posts}
+    for topic_id in ids:
+        _, outcome = annotate_topic_stances(specs[topic_id], by_uri, reposts, topic_map,
+                                            provider, out, args.k, args.seed)
+        print(f"{topic_id}: {outcome.labeled} users classified, "
+              f"{len(outcome.skipped)} skipped")
     return 0
 
 
@@ -195,152 +130,91 @@ def cmd_annotate(args):
 
 
 def cmd_graph_build(args):
-    posts = {p.uri: p for p in _load_posts_file(args.corpus)}
-    with Path(args.reposts).open(encoding="utf-8") as fh:
-        reposts = [repost_from_json(line) for line in fh if line.strip()]
+    posts = {p.uri: p for p in load_posts(Path(args.corpus))}
+    reposts = load_reposts(Path(args.reposts))
     topic_map = topic_store(args.topic_labels).mapping()
     window = parse_window(args.window) if args.window else None
     if args.topics == "all":
-        topic_ids = sorted({t for t in topic_map.values() if t != "other"})
+        topic_ids = sorted(set(topic_map.values()) - {OTHER_TOPIC})
     else:
         topic_ids = args.topics.split(",")
-    out = Path(args.out)
     for topic_id in topic_ids:
-        b = build_bipartite(posts, reposts, topic_map, topic_id, window)
-        g = project_reposts(b, include_isolated=args.include_isolated)
-        stats = network_stats(g)
-        if stats.edges == 0:
+        row, written = write_topic_graph(posts, reposts, topic_map, topic_id, window,
+                                         Path(args.out), args.include_isolated)
+        if not written:
             print(f"{topic_id}: empty network, skipped")
             continue
-        topic_dir = out / topic_id / window_dirname(window)
-        topic_dir.mkdir(parents=True, exist_ok=True)
-        ordered = write_nodes_tsv(g.nodes, topic_dir / "nodes.tsv")
-        index = {n: i for i, n in enumerate(ordered)}
-        save_graph(g, topic_dir / f"{args.tau}.graph", index)
-        export_csv(g, topic_dir / f"{args.tau}.csv")
-        print(f"{topic_id}: |V|={stats.nodes} |E|={stats.edges} "
-              f"avg_degree={stats.average_degree:.2f}")
+        print(f"{topic_id}: |V|={row['nodes']} |E|={row['edges']} "
+              f"avg_degree={row['average_degree']:.2f}")
     return 0
 
 
 def cmd_graph_stats(args):
-    root = Path(args.graphs)
     print("topic,window,nodes,edges,average_degree")
-    for graph_file in sorted(root.glob("*/*/*.graph")):
+    for graph_file in sorted(Path(args.graphs).glob("*/*/reposts.graph")):
         topic_dir = graph_file.parent
-        nodes = read_nodes_tsv(topic_dir / "nodes.tsv")
-        g = load_graph(graph_file, nodes, topic_dir.parent.name, graph_file.stem)
-        s = network_stats(g)
+        s = network_stats(load_topic_graph(topic_dir, topic_dir.parent.name))
         print(f"{topic_dir.parent.name},{topic_dir.name},{s.nodes},{s.edges},"
               f"{s.average_degree:.2f}")
     return 0
 
 
-def _load_graph_dir(graphs_dir, topic, tau="reposts"):
-    matches = sorted(Path(graphs_dir).glob(f"{topic}/*/{tau}.graph"))
+# --- groups ------------------------------------------------------------------
+
+
+def _topic_graph(graphs_dir, topic):
+    matches = sorted(Path(graphs_dir).glob(f"{topic}/*/reposts.graph"))
     if not matches:
-        raise ConfigError(f"no {tau} graph for topic {topic!r} under {graphs_dir}")
-    graph_file = matches[0]
-    nodes = read_nodes_tsv(graph_file.parent / "nodes.tsv")
-    return load_graph(graph_file, nodes, topic, tau)
+        raise ConfigError(f"no reposts graph for topic {topic!r} under {graphs_dir}")
+    return load_topic_graph(matches[0].parent, topic)
 
 
 def cmd_groups_structural(args):
-    g = _load_graph_dir(args.graphs, args.topic)
-    partition, runs = detect_structural_groups_with_diagnostics(
-        g, max_groups=args.max_groups, runs=args.runs, iters=args.iters,
-        seed=args.seed, collapse_multigraph=args.collapse_multigraph,
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "partition.tsv").open("w", encoding="utf-8") as fh:
-        for node in sorted(partition.assignment):
-            fh.write(f"{node}\t{partition.assignment[node]}\n")
-    (out / "partition.json").write_text(
-        json.dumps(
-            {
-                "topic": args.topic, "dl": partition.dl, "b": partition.b,
-                "seed": args.seed,
-                "params": {"max_groups": args.max_groups, "runs": args.runs,
-                           "iters": args.iters},
-                "runs": [
-                    {"seed": r.seed, "sweeps": r.sweeps, "dl": r.dl,
-                     "trajectory": r.trajectory} for r in runs
-                ],
-            },
-            indent=2, sort_keys=True,
-        ) + "\n",
-        encoding="utf-8",
-    )
+    g = _topic_graph(args.graphs, args.topic)
+    detection = DetectionConfig(max_groups=args.max_groups, runs=args.runs, iters=args.iters,
+                                collapse_multigraph=args.collapse_multigraph)
+    partition, _ = write_structural_groups(g, detection, args.seed, Path(args.out), None)
     print(f"{args.topic}: B={partition.b} dl={partition.dl:.3f}")
     return 0
 
 
 def cmd_groups_content(args):
-    g = _load_graph_dir(args.graphs, args.topic)
-    stances = {
-        user: label
-        for (user, _t), label in stance_store(args.stances).mapping().items()
-    }
-    grouping = content_groups(stances, g)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "content.tsv").open("w", encoding="utf-8") as fh:
-        for node in sorted(grouping.assignment):
-            fh.write(f"{node}\t{grouping.assignment[node]}\n")
+    g = _topic_graph(args.graphs, args.topic)
+    grouping, _ = write_content_groups(g, load_stances(Path(args.stances)),
+                                       Path(args.out), None)
     print(f"{args.topic}: coverage {grouping.coverage:.3f} "
           f"({len(grouping.unlabeled)} unlabeled)")
     return 0
 
 
 def cmd_groups_composition(args):
-    assignment = {}
-    with Path(args.partition).open(encoding="utf-8") as fh:
-        for line in fh:
-            node, block = line.rstrip("\n").split("\t")
-            assignment[node] = int(block)
-    stances = {}
-    with Path(args.content).open(encoding="utf-8") as fh:
-        for line in fh:
-            node, stance = line.rstrip("\n").split("\t")
-            stances[node] = stance
+    assignment = read_assignment(args.partition, int)
+    stances = read_assignment(args.content)
     partition = Partition(assignment, len(set(assignment.values())), 0.0)
     grouping = StanceGrouping(
         "", stances, len(stances) / len(assignment) if assignment else 0.0,
         set(assignment) - set(stances),
     )
-    comp = group_composition(partition, grouping)
-    payload = {
-        "dominant_stance": comp.dominant_stance,
-        "max_ds": comp.max_ds,
-        "min_ds": comp.min_ds,
-        "blocks": [
-            {"block": b.block, "size": b.size, "histogram": b.histogram,
-             "dominant_fraction": b.dominant_fraction}
-            for b in comp.blocks
-        ],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    payload = asdict(group_composition(partition, grouping))
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+        write_json(Path(args.out), payload)
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 # --- run-dir based commands ---------------------------------------------------
 
 
-def _config_for_run_dir(args) -> PipelineConfig:
-    if args.config:
-        return load_config(args.config)
-    raise ConfigError("--config is required")
+def _run_through(stage, config, args) -> Path:
+    """Run every stage up to and including ``stage`` (finished ones are
+    cached) and return the run directory."""
+    run_root = Path(args.run_dir).parent if args.run_dir else None
+    run_pipeline(config, stages=list(STAGES[: STAGES.index(stage) + 1]), run_root=run_root)
+    return run_dir_for(config, run_root)
 
 
 def cmd_metrics_report(args):
-    config = _config_for_run_dir(args)
-    run_root = Path(args.run_dir).parent if args.run_dir else None
-    run_pipeline(config, stages=["metrics"], run_root=run_root)
-    run_dir = run_dir_for(config, run_root)
+    run_dir = _run_through("metrics", load_config(args.config), args)
     src = run_dir / "metrics" / (
         "stance_report.csv" if args.grouping == "stance" else "structural_report.csv"
     )
@@ -352,19 +226,19 @@ def cmd_metrics_report(args):
 
 
 def cmd_crosstopic(args):
-    config = _config_for_run_dir(args)
+    config = load_config(args.config)
     if args.threshold is not None:
-        config.metrics.hypergraph_threshold = args.threshold
-    run_root = Path(args.run_dir).parent if args.run_dir else None
-    run_pipeline(config, stages=["crosstopic"], run_root=run_root)
-    run_dir = run_dir_for(config, run_root)
+        # a changed threshold changes the config hash, so it gets its own run directory
+        config = replace(
+            config, metrics=replace(config.metrics, hypergraph_threshold=args.threshold)
+        )
+    cross = _run_through("crosstopic", config, args) / "crosstopic"
     name = {
         "overlap": "overlap.csv",
         "hypergraph": "hyperedges.json",
         "alignment": f"alignment_{args.grouping}.csv",
         "joint": None,
     }[args.what]
-    cross = run_dir / "crosstopic"
     if name:
         print((cross / name).read_text(encoding="utf-8"))
     else:
@@ -389,11 +263,10 @@ def cmd_run(args):
 
 def cmd_report(args):
     run_dir = Path(args.out)
-    config_path = run_dir / "config.json"
     if args.config:
         config = load_config(args.config)
-    elif config_path.exists():
-        config = config_from_dict(json.loads(config_path.read_text(encoding="utf-8")))
+    elif (run_dir / "config.json").exists():
+        config = load_config(run_dir / "config.json")
     else:
         raise ConfigError(f"pass --config or keep config.json inside {run_dir}")
     stage_report(config, run_dir)
@@ -534,9 +407,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PolarnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -2,8 +2,7 @@
 
 Builds the user-post bipartite structure for one topic and window,
 projects it onto directed user-user multigraphs (one parallel edge per
-interaction event), assembles the per-topic layer bundle, and handles
-fast binary persistence for large graphs.
+interaction event), and handles fast binary persistence for large graphs.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .ingest import PostRecord, RawEvent, RepostEvent
-
-INTERACTION_KINDS = ("likes", "reposts", "follows", "blocks")
+from .ingest import PostRecord, RepostEvent
 
 _MAGIC = b"PNETG1\x00"
 
@@ -34,7 +31,7 @@ class EdgeRecord:
 class BipartiteEdge:
     user: str
     post_uri: str
-    kind: str  # authorship | repost | like
+    kind: str  # authorship | repost
     timestamp: datetime
 
 
@@ -88,22 +85,6 @@ class TopicNetwork:
 
 
 @dataclass
-class MultilayerBundle:
-    """The (likes, reposts, follows, blocks) tuple for one (topic, window).
-
-    Follow and block layers are induced on the union of the likes and
-    reposts node sets.
-    """
-
-    topic: str
-    window: Optional[tuple[datetime, datetime]]
-    likes: TopicNetwork
-    reposts: TopicNetwork
-    follows: TopicNetwork
-    blocks: TopicNetwork
-
-
-@dataclass
 class NetworkStats:
     nodes: int
     edges: int
@@ -123,12 +104,11 @@ def build_bipartite(
     topic_labels: Mapping[str, str],
     topic: str,
     window: Optional[tuple[datetime, datetime]] = None,
-    likes: Iterable[tuple[str, str, datetime]] = (),
 ) -> BipartiteInteractions:
     """Assemble the bipartite structure for one topic.
 
     Keeps authorship edges for posts labeled with the topic, plus repost
-    and like edges pointing at those posts. Interactions referencing posts
+    edges pointing at those posts. Interactions referencing posts
     outside this topic corpus are dropped and tallied.
     """
     topic_posts = {
@@ -150,14 +130,6 @@ def build_bipartite(
             continue
         users.add(r.reposter)
         edges.append(BipartiteEdge(r.reposter, r.subject_uri, "repost", r.timestamp))
-    for liker, uri, ts in likes:
-        if not _in_window(ts, window):
-            continue
-        if uri not in topic_posts:
-            dangling += 1
-            continue
-        users.add(liker)
-        edges.append(BipartiteEdge(liker, uri, "like", ts))
     return BipartiteInteractions(
         topic=topic,
         window=window,
@@ -166,28 +138,6 @@ def build_bipartite(
         edges=edges,
         dangling_references=dangling,
     )
-
-
-def _project(b: BipartiteInteractions, kind: str, interaction: str,
-             include_isolated: bool) -> TopicNetwork:
-    authors = {e.post_uri: e.user for e in b.edges if e.kind == "authorship"}
-    events: list[EdgeRecord] = []
-    suppressed = 0
-    for e in b.edges:
-        if e.kind != kind:
-            continue
-        author = authors.get(e.post_uri)
-        if author is None:
-            continue
-        if author == e.user:
-            # interactions with one's own post carry no inter-user signal
-            suppressed += 1
-            continue
-        events.append(EdgeRecord(e.user, author, e.timestamp))
-    extra = b.users if include_isolated else ()
-    net = TopicNetwork.from_events(b.topic, interaction, b.window, events, extra_nodes=extra)
-    net.suppressed_self_edges = suppressed
-    return net
 
 
 def project_reposts(b: BipartiteInteractions, include_isolated: bool = False) -> TopicNetwork:
@@ -199,51 +149,24 @@ def project_reposts(b: BipartiteInteractions, include_isolated: bool = False) ->
     incident to at least one retained edge; ``include_isolated`` adds all
     topic participants.
     """
-    return _project(b, "repost", "reposts", include_isolated)
-
-
-def project_likes(b: BipartiteInteractions, include_isolated: bool = False) -> TopicNetwork:
-    return _project(b, "like", "likes", include_isolated)
-
-
-def build_follow_block_layers(
-    nodes: set,
-    records: Iterable[RawEvent],
-    topic: str = "",
-    window: Optional[tuple[datetime, datetime]] = None,
-) -> tuple[TopicNetwork, TopicNetwork]:
-    """Follow and block layers induced on a shared node set.
-
-    Only edges with both endpoints in ``nodes`` are retained; the layers
-    share that node set even where it leaves isolates.
-    """
-    follow_events: list[EdgeRecord] = []
-    block_events: list[EdgeRecord] = []
-    for ev in records:
-        if not ev.is_create or ev.collection not in ("follow", "block"):
+    authors = {e.post_uri: e.user for e in b.edges if e.kind == "authorship"}
+    events: list[EdgeRecord] = []
+    suppressed = 0
+    for e in b.edges:
+        if e.kind != "repost":
             continue
-        if not _in_window(ev.timestamp, window):
+        author = authors.get(e.post_uri)
+        if author is None:
             continue
-        target = ev.subject
-        if target is None or ev.author not in nodes or target not in nodes:
+        if author == e.user:
+            # interactions with one's own post carry no inter-user signal
+            suppressed += 1
             continue
-        record = EdgeRecord(ev.author, target, ev.timestamp)
-        (follow_events if ev.collection == "follow" else block_events).append(record)
-    follows = TopicNetwork.from_events(topic, "follows", window, follow_events, extra_nodes=nodes)
-    blocks = TopicNetwork.from_events(topic, "blocks", window, block_events, extra_nodes=nodes)
-    return follows, blocks
-
-
-def build_bundle(
-    b: BipartiteInteractions,
-    records: Iterable[RawEvent],
-    include_isolated: bool = False,
-) -> MultilayerBundle:
-    likes = project_likes(b, include_isolated)
-    reposts = project_reposts(b, include_isolated)
-    shared = likes.nodes | reposts.nodes
-    follows, blocks = build_follow_block_layers(shared, records, b.topic, b.window)
-    return MultilayerBundle(b.topic, b.window, likes, reposts, follows, blocks)
+        events.append(EdgeRecord(e.user, author, e.timestamp))
+    extra = b.users if include_isolated else ()
+    net = TopicNetwork.from_events(b.topic, "reposts", b.window, events, extra_nodes=extra)
+    net.suppressed_self_edges = suppressed
+    return net
 
 
 def network_stats(g: TopicNetwork) -> NetworkStats:

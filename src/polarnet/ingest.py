@@ -272,14 +272,6 @@ class StatsAccumulator:
         )
 
 
-def accumulate_stats(
-    events: Iterable[RawEvent],
-    downtime: Optional[Mapping[date, float]] = None,
-    window: Optional[tuple[date, date]] = None,
-) -> ActivityStats:
-    return StatsAccumulator(downtime=downtime, window=window).add_all(events).finalize()
-
-
 @dataclass(frozen=True)
 class PostRecord:
     uri: str

@@ -4,12 +4,12 @@ Runs the stage sequence ingest -> annotate -> graph -> groups -> metrics
 -> crosstopic -> report inside a run directory keyed by the config hash.
 Each stage records a manifest of input and output hashes; stages are
 skipped when their manifest already matches, and refuse to run when an
-upstream artifact changed behind its manifest's back.
+upstream artifact changed behind its manifest's back. The ``polarnet``
+stage subcommands call the same building blocks as the stages.
 """
 
 from __future__ import annotations
 
-import csv
 import glob
 import hashlib
 import json
@@ -29,7 +29,16 @@ from .annotate import (
     theme_store,
     topic_store,
 )
-from .config import STAGES, PipelineConfig, config_hash, config_to_dict, stage_seed
+from .config import (
+    STAGES,
+    DetectionConfig,
+    FilterConfig,
+    PipelineConfig,
+    SampleConfig,
+    config_hash,
+    config_to_dict,
+    stage_seed,
+)
 from .crosstopic import alignment_matrix, jaccard_matrix, joint_stance_table, topic_hypergraph
 from .errors import ConfigError, HashMismatchError, PolarnetError, StageError
 from .graphs import (
@@ -43,7 +52,7 @@ from .graphs import (
     window_dirname,
     write_nodes_tsv,
 )
-from .groups import content_groups, detect_structural_groups_with_diagnostics
+from .groups import Partition, content_groups, detect_structural_groups_with_diagnostics
 from .ingest import (
     StatsAccumulator,
     build_post_records,
@@ -58,6 +67,7 @@ from .ingest import (
 from .metrics import stance_metric_report, structural_metric_report
 from .providers import provider_from_spec
 from . import report as report_mod
+from .report import write_csv, write_json
 
 log = logging.getLogger("polarnet")
 
@@ -88,55 +98,44 @@ def _rel(path: Path, run_dir: Path) -> str:
         return str(path)
 
 
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def run_dir_for(config: PipelineConfig, run_root: Optional[Path] = None) -> Path:
     root = Path(run_root) if run_root else Path(config.out_dir)
     return root / config_hash(config)
 
 
-# --- stage implementations -------------------------------------------------
-# Each returns (input paths, output paths); the runner handles hashing,
-# manifests, and caching.
+# --- stage building blocks -------------------------------------------------
+# Path-level helpers shared by the stages below and by the ``polarnet``
+# stage subcommands, so each artifact has one reader and one writer.
+# ``chash`` is the config hash stamped into JSON artifacts; subcommands
+# run without a config and stamp None.
 
 
-def _input_files(config: PipelineConfig) -> list[Path]:
+def input_files(patterns: list[str]) -> list[Path]:
     files: list[Path] = []
-    for pattern in config.inputs:
+    for pattern in patterns:
         matches = sorted(glob.glob(pattern))
         if matches:
             files.extend(Path(m) for m in matches)
         elif Path(pattern).exists():
             files.append(Path(pattern))
+    if not files:
+        raise StageError("ingest", f"no input files match {patterns}")
     return files
 
 
-def stage_ingest(config: PipelineConfig, run_dir: Path):
-    inputs = _input_files(config)
-    if not inputs:
-        raise StageError("ingest", f"no input files match {config.inputs}")
+def read_events(paths: list[Path], window=None, downtime=None):
+    """Parse event dumps into (activity stats, parse-error count, posts, reposts).
+
+    ``window`` is a config window, [start, end); the stats window is the
+    inclusive days it covers.
+    """
     window_days = None
-    if config.window:
-        # config windows are [start, end); the stats window is inclusive days
-        window_days = (
-            config.window[0].date(),
-            config.window[1].date() - timedelta(days=1),
-        )
-    acc = StatsAccumulator(downtime=config.downtime, window=window_days)
+    if window:
+        window_days = (window[0].date(), window[1].date() - timedelta(days=1))
+    acc = StatsAccumulator(downtime=downtime, window=window_days)
     events = []
     parse_errors = 0
-    for path in inputs:
+    for path in paths:
         errors: list = []
         with path.open(encoding="utf-8") as fh:
             for event in parse_stream(fh, errors):
@@ -145,16 +144,14 @@ def stage_ingest(config: PipelineConfig, run_dir: Path):
         parse_errors += len(errors)
     stats = acc.finalize()
     posts, reposts = build_post_records(events)
-    del events
+    return stats, parse_errors, posts, reposts
 
-    stats_dir = run_dir / "stats"
-    corpus_dir = run_dir / "corpus"
-    stats_dir.mkdir(parents=True, exist_ok=True)
-    corpus_dir.mkdir(parents=True, exist_ok=True)
 
-    chash = config_hash(config)
-    _write_json(
-        stats_dir / "activity_stats.json",
+def write_activity_stats(stats_dir: Path, stats, parse_errors: int, chash) -> list[Path]:
+    json_path = stats_dir / "activity_stats.json"
+    csv_path = stats_dir / "activity_daily.csv"
+    write_json(
+        json_path,
         {
             "config_hash": chash,
             "observed_days": stats.observed_days,
@@ -165,64 +162,218 @@ def stage_ingest(config: PipelineConfig, run_dir: Path):
             "per_type": {k: asdict(v) for k, v in stats.per_type.items()},
         },
     )
-    _write_csv(
-        stats_dir / "activity_daily.csv",
+    write_csv(
+        csv_path,
         ["date", "action_type", "actions", "distinct_authors"],
         [
             [day.isoformat(), kind, actions, authors]
             for (day, kind), (actions, authors) in sorted(stats.daily.items())
         ],
     )
+    return [json_path, csv_path]
 
-    filtered = filter_corpus(
+
+def filter_posts(posts: dict, filters: FilterConfig) -> list:
+    return filter_corpus(
         sorted(posts.values(), key=lambda p: p.uri),
-        min_reposts=config.filters.min_reposts,
-        min_chars=config.filters.min_chars,
-        lang=config.filters.lang,
+        min_reposts=filters.min_reposts,
+        min_chars=filters.min_chars,
+        lang=filters.lang,
     )
-    with (corpus_dir / "filtered.jsonl").open("w", encoding="utf-8") as fh:
-        for p in filtered:
+
+
+def sample_posts(posts: list, sample: SampleConfig, master_seed: int) -> list:
+    return sample_corpus(
+        posts,
+        fraction=sample.fraction,
+        seed=stage_seed(master_seed, "ingest.sample"),
+        stratify_by_day=sample.stratify_by_day,
+    )
+
+
+def write_posts(path: Path, posts) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as fh:
+        for p in posts:
             fh.write(post_to_json(p) + "\n")
-    with (corpus_dir / "reposts.jsonl").open("w", encoding="utf-8") as fh:
-        for r in sorted(reposts, key=lambda r: (r.timestamp, r.reposter, r.subject_uri)):
-            fh.write(repost_to_json(r) + "\n")
-
-    outputs = [
-        stats_dir / "activity_stats.json",
-        stats_dir / "activity_daily.csv",
-        corpus_dir / "filtered.jsonl",
-        corpus_dir / "reposts.jsonl",
-    ]
-    if config.sample.fraction < 1.0:
-        sampled = sample_corpus(
-            filtered,
-            fraction=config.sample.fraction,
-            seed=stage_seed(config.seed, "ingest.sample"),
-            stratify_by_day=config.sample.stratify_by_day,
-        )
-        with (corpus_dir / "sampled.jsonl").open("w", encoding="utf-8") as fh:
-            for p in sampled:
-                fh.write(post_to_json(p) + "\n")
-        outputs.append(corpus_dir / "sampled.jsonl")
-    return inputs, outputs
 
 
-def _load_posts(path: Path) -> list:
+def load_posts(path: Path) -> list:
     with path.open(encoding="utf-8") as fh:
         return [post_from_json(line) for line in fh if line.strip()]
 
 
-def _load_reposts(path: Path) -> list:
+def write_reposts(path: Path, reposts) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as fh:
+        for r in sorted(reposts, key=lambda r: (r.timestamp, r.reposter, r.subject_uri)):
+            fh.write(repost_to_json(r) + "\n")
+
+
+def load_reposts(path: Path) -> list:
     with path.open(encoding="utf-8") as fh:
         return [repost_from_json(line) for line in fh if line.strip()]
+
+
+def annotate_topic_stances(spec, by_uri: dict, reposts: list, topic_map: dict, provider,
+                           labels_dir: Path, k: int, master_seed: int):
+    """Label one topic's participants into a fresh ``stances_<id>.jsonl``.
+
+    Participants authored or reposted a post labeled with the topic.
+    Returns the store path and the annotation outcome.
+    """
+    corpora: dict[str, list] = {}
+    for uri, label in topic_map.items():
+        if label == spec.id and uri in by_uri:
+            corpora.setdefault(by_uri[uri].author, []).append(by_uri[uri])
+    for r in reposts:
+        if topic_map.get(r.subject_uri) == spec.id and r.subject_uri in by_uri:
+            corpora.setdefault(r.reposter, []).append(by_uri[r.subject_uri])
+    path = labels_dir / f"stances_{spec.id}.jsonl"
+    path.unlink(missing_ok=True)
+    path.touch()  # topics with no participants still get a store file
+    outcome = annotate_stances(
+        corpora, spec, provider, stance_store(path),
+        k=k, seed=stage_seed(master_seed, f"annotate.stances.{spec.id}"),
+    )
+    return path, outcome
+
+
+def load_stances(path: Path) -> dict:
+    return {user: label for (user, _t), label in stance_store(path).mapping().items()}
+
+
+def write_topic_graph(posts: dict, reposts: list, topic_map: dict, topic_id: str, window,
+                      graphs_dir: Path, include_isolated: bool = False):
+    """Build one topic's repost network and write it if it has edges.
+
+    Returns its ``graphs/stats.json`` row and the files written.
+    """
+    b = build_bipartite(posts, reposts, topic_map, topic_id, window)
+    g = project_reposts(b, include_isolated=include_isolated)
+    stats = network_stats(g)
+    row = {
+        "nodes": stats.nodes,
+        "edges": stats.edges,
+        "average_degree": stats.average_degree,
+        "dangling_references": b.dangling_references,
+        "suppressed_self_reposts": g.suppressed_self_edges,
+    }
+    if stats.edges == 0:
+        return row, []
+    topic_dir = graphs_dir / topic_id / window_dirname(window)
+    topic_dir.mkdir(parents=True, exist_ok=True)
+    ordered = write_nodes_tsv(g.nodes, topic_dir / "nodes.tsv")
+    save_graph(g, topic_dir / "reposts.graph", {n: i for i, n in enumerate(ordered)})
+    export_csv(g, topic_dir / "reposts.csv")
+    return row, [topic_dir / "nodes.tsv", topic_dir / "reposts.graph", topic_dir / "reposts.csv"]
+
+
+def load_topic_graph(topic_dir: Path, topic_id: str, window=None):
+    nodes = read_nodes_tsv(topic_dir / "nodes.tsv")
+    return load_graph(topic_dir / "reposts.graph", nodes, topic_id, "reposts", window)
+
+
+def _write_assignment(path: Path, assignment: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as fh:
+        for node in sorted(assignment):
+            fh.write(f"{node}\t{assignment[node]}\n")
+
+
+def read_assignment(path: Path, value=str) -> dict:
+    """Read a ``partition.tsv`` (``value=int``) or ``content.tsv`` file."""
+    assignment = {}
+    with Path(path).open(encoding="utf-8") as fh:
+        for line in fh:
+            node, label = line.rstrip("\n").split("\t")
+            assignment[node] = value(label)
+    return assignment
+
+
+def write_structural_groups(g, detection: DetectionConfig, master_seed: int,
+                            out_dir: Path, chash):
+    """Detect one topic's structural groups and write ``partition.tsv``/``.json``.
+
+    The detection seed is derived from ``master_seed`` and the topic id.
+    """
+    seed = stage_seed(master_seed, f"groups.{g.topic}")
+    partition, runs = detect_structural_groups_with_diagnostics(
+        g,
+        max_groups=detection.max_groups,
+        runs=detection.runs,
+        iters=detection.iters,
+        seed=seed,
+        collapse_multigraph=detection.collapse_multigraph,
+    )
+    _write_assignment(out_dir / "partition.tsv", partition.assignment)
+    write_json(
+        out_dir / "partition.json",
+        {
+            "config_hash": chash,
+            "topic": g.topic,
+            "dl": partition.dl,
+            "b": partition.b,
+            "seed": seed,
+            "params": vars(detection),
+            "runs": [
+                {"seed": r.seed, "sweeps": r.sweeps, "dl": r.dl,
+                 "trajectory": r.trajectory}
+                for r in runs
+            ],
+        },
+    )
+    return partition, [out_dir / "partition.tsv", out_dir / "partition.json"]
+
+
+def load_partition(group_dir: Path) -> Partition:
+    meta = json.loads((group_dir / "partition.json").read_text(encoding="utf-8"))
+    assignment = read_assignment(group_dir / "partition.tsv", int)
+    return Partition(assignment=assignment, b=meta["b"], dl=meta["dl"])
+
+
+def write_content_groups(g, stances: dict, out_dir: Path, chash):
+    grouping = content_groups(stances, g)
+    _write_assignment(out_dir / "content.tsv", grouping.assignment)
+    write_json(
+        out_dir / "content.json",
+        {
+            "config_hash": chash,
+            "topic": g.topic,
+            "coverage": grouping.coverage,
+            "unlabeled": len(grouping.unlabeled),
+        },
+    )
+    return grouping, [out_dir / "content.tsv", out_dir / "content.json"]
+
+
+# --- stage implementations -------------------------------------------------
+# Each returns (input paths, output paths); the runner handles hashing,
+# manifests, and caching.
+
+
+def stage_ingest(config: PipelineConfig, run_dir: Path):
+    inputs = input_files(config.inputs)
+    stats, parse_errors, posts, reposts = read_events(inputs, config.window, config.downtime)
+    corpus_dir = run_dir / "corpus"
+    outputs = write_activity_stats(run_dir / "stats", stats, parse_errors, config_hash(config))
+    filtered = filter_posts(posts, config.filters)
+    write_posts(corpus_dir / "filtered.jsonl", filtered)
+    write_reposts(corpus_dir / "reposts.jsonl", reposts)
+    outputs += [corpus_dir / "filtered.jsonl", corpus_dir / "reposts.jsonl"]
+    if config.sample.fraction < 1.0:
+        write_posts(corpus_dir / "sampled.jsonl",
+                    sample_posts(filtered, config.sample, config.seed))
+        outputs.append(corpus_dir / "sampled.jsonl")
+    return inputs, outputs
 
 
 def stage_annotate(config: PipelineConfig, run_dir: Path):
     corpus_name = "sampled.jsonl" if config.annotate_on == "sampled" else "filtered.jsonl"
     corpus_path = run_dir / "corpus" / corpus_name
     reposts_path = run_dir / "corpus" / "reposts.jsonl"
-    posts = _load_posts(corpus_path)
-    reposts = _load_reposts(reposts_path)
+    posts = load_posts(corpus_path)
+    reposts = load_reposts(reposts_path)
     provider = provider_from_spec(config.provider.spec_string(), config.provider.token())
 
     labels_dir = run_dir / "labels"
@@ -234,45 +385,16 @@ def stage_annotate(config: PipelineConfig, run_dir: Path):
 
     themes = theme_store(themes_path)
     annotate_themes(posts, provider, themes)
-    theme_map = themes.mapping()
-
     topics = topic_store(topics_path, config.topics)
-    annotate_topics(posts, theme_map, provider, topics, config.topics)
+    annotate_topics(posts, themes.mapping(), provider, topics, config.topics)
     topic_map = topics.mapping()
 
     by_uri = {p.uri: p for p in posts}
     outputs = [themes_path, topics_path]
     for spec in config.topics:
-        # participants: authored or reposted a post labeled with this topic
-        corpora: dict[str, list] = {}
-        for uri, label in topic_map.items():
-            if label != spec.id:
-                continue
-            post = by_uri.get(uri)
-            if post is None:
-                continue
-            corpora.setdefault(post.author, []).append(post)
-        for r in reposts:
-            label = topic_map.get(r.subject_uri)
-            if label != spec.id:
-                continue
-            post = by_uri.get(r.subject_uri)
-            if post is None:
-                continue
-            corpora.setdefault(r.reposter, []).append(post)
-        stance_path = labels_dir / f"stances_{spec.id}.jsonl"
-        stance_path.unlink(missing_ok=True)
-        stance_path.touch()  # topics with no participants still get a store file
-        store = stance_store(stance_path)
-        annotate_stances(
-            corpora,
-            spec,
-            provider,
-            store,
-            k=config.stance_sample_k,
-            seed=stage_seed(config.seed, f"annotate.stances.{spec.id}"),
-        )
-        outputs.append(stance_path)
+        path, _ = annotate_topic_stances(spec, by_uri, reposts, topic_map, provider,
+                                         labels_dir, config.stance_sample_k, config.seed)
+        outputs.append(path)
     return [corpus_path, reposts_path], outputs
 
 
@@ -280,156 +402,82 @@ def stage_graph(config: PipelineConfig, run_dir: Path):
     corpus_path = run_dir / "corpus" / "filtered.jsonl"
     reposts_path = run_dir / "corpus" / "reposts.jsonl"
     topics_path = run_dir / "labels" / "topics.jsonl"
-    posts = {p.uri: p for p in _load_posts(corpus_path)}
-    reposts = _load_reposts(reposts_path)
+    posts = {p.uri: p for p in load_posts(corpus_path)}
+    reposts = load_reposts(reposts_path)
     topic_map = topic_store(topics_path, config.topics).mapping()
 
     graphs_dir = run_dir / "graphs"
-    graphs_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     stats_payload = {}
-    wdir = window_dirname(config.window)
     for spec in config.topics:
-        b = build_bipartite(posts, reposts, topic_map, spec.id, config.window)
-        g = project_reposts(b)
-        stats = network_stats(g)
-        stats_payload[spec.id] = {
-            "nodes": stats.nodes,
-            "edges": stats.edges,
-            "average_degree": stats.average_degree,
-            "dangling_references": b.dangling_references,
-            "suppressed_self_reposts": g.suppressed_self_edges,
-        }
-        if stats.edges == 0:
-            continue
-        topic_dir = graphs_dir / spec.id / wdir
-        topic_dir.mkdir(parents=True, exist_ok=True)
-        ordered = write_nodes_tsv(g.nodes, topic_dir / "nodes.tsv")
-        index = {n: i for i, n in enumerate(ordered)}
-        save_graph(g, topic_dir / "reposts.graph", index)
-        export_csv(g, topic_dir / "reposts.csv")
-        outputs += [topic_dir / "nodes.tsv", topic_dir / "reposts.graph",
-                    topic_dir / "reposts.csv"]
+        stats_payload[spec.id], written = write_topic_graph(
+            posts, reposts, topic_map, spec.id, config.window, graphs_dir
+        )
+        outputs += written
     stats_path = graphs_dir / "stats.json"
-    _write_json(stats_path, {"config_hash": config_hash(config), "topics": stats_payload})
+    write_json(stats_path, {"config_hash": config_hash(config), "topics": stats_payload})
     outputs.append(stats_path)
     return [corpus_path, reposts_path, topics_path], outputs
 
 
-def _graph_topics(config: PipelineConfig, run_dir: Path) -> list[str]:
+def _graph_topics(run_dir: Path) -> list[str]:
     """Topics that produced a non-empty repost network."""
     stats_path = run_dir / "graphs" / "stats.json"
     payload = json.loads(stats_path.read_text(encoding="utf-8"))
     return [t for t, s in payload["topics"].items() if s["edges"] > 0]
 
 
-def _load_topic_graph(config: PipelineConfig, run_dir: Path, topic_id: str):
-    topic_dir = run_dir / "graphs" / topic_id / window_dirname(config.window)
-    nodes = read_nodes_tsv(topic_dir / "nodes.tsv")
-    return load_graph(topic_dir / "reposts.graph", nodes, topic_id, "reposts", config.window)
+def _topic_paths(config: PipelineConfig, run_dir: Path, topic_id: str):
+    """A topic's graph directory, groups directory and stance store."""
+    return (
+        run_dir / "graphs" / topic_id / window_dirname(config.window),
+        run_dir / "groups" / topic_id,
+        run_dir / "labels" / f"stances_{topic_id}.jsonl",
+    )
+
+
+def _load_topic_results(config: PipelineConfig, run_dir: Path, topic_id: str):
+    """A topic's network, partition and stances, plus the files recorded as read."""
+    graph_dir, group_dir, stance_path = _topic_paths(config, run_dir, topic_id)
+    g = load_topic_graph(graph_dir, topic_id, config.window)
+    read = [group_dir / "partition.tsv", stance_path]
+    return g, load_partition(group_dir), load_stances(stance_path), read
+
+
+def _write_matrix(path: Path, m) -> None:
+    write_csv(
+        path,
+        ["topic"] + m.topics,
+        [[t] + [report_mod.fmt_matrix(v) for v in row] for t, row in zip(m.topics, m.values)],
+    )
 
 
 def stage_groups(config: PipelineConfig, run_dir: Path):
+    chash = config_hash(config)
     inputs = [run_dir / "graphs" / "stats.json"]
     outputs = []
-    groups_dir = run_dir / "groups"
-    for topic_id in _graph_topics(config, run_dir):
-        g = _load_topic_graph(config, run_dir, topic_id)
-        topic_dir = run_dir / "graphs" / topic_id / window_dirname(config.window)
-        inputs += [topic_dir / "reposts.graph", topic_dir / "nodes.tsv"]
-        seed = stage_seed(config.seed, f"groups.{topic_id}")
-        partition, runs = detect_structural_groups_with_diagnostics(
-            g,
-            max_groups=config.detection.max_groups,
-            runs=config.detection.runs,
-            iters=config.detection.iters,
-            seed=seed,
-            collapse_multigraph=config.detection.collapse_multigraph,
-        )
-        out_dir = groups_dir / topic_id
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with (out_dir / "partition.tsv").open("w", encoding="utf-8") as fh:
-            for node in sorted(partition.assignment):
-                fh.write(f"{node}\t{partition.assignment[node]}\n")
-        _write_json(
-            out_dir / "partition.json",
-            {
-                "config_hash": config_hash(config),
-                "topic": topic_id,
-                "dl": partition.dl,
-                "b": partition.b,
-                "seed": seed,
-                "params": vars(config.detection),
-                "runs": [
-                    {"seed": r.seed, "sweeps": r.sweeps, "dl": r.dl,
-                     "trajectory": r.trajectory}
-                    for r in runs
-                ],
-            },
-        )
-        stance_path = run_dir / "labels" / f"stances_{topic_id}.jsonl"
-        inputs.append(stance_path)
-        stances = {
-            user: label
-            for (user, _topic), label in stance_store(stance_path).mapping().items()
-        }
-        grouping = content_groups(stances, g)
-        with (out_dir / "content.tsv").open("w", encoding="utf-8") as fh:
-            for node in sorted(grouping.assignment):
-                fh.write(f"{node}\t{grouping.assignment[node]}\n")
-        _write_json(
-            out_dir / "content.json",
-            {
-                "config_hash": config_hash(config),
-                "topic": topic_id,
-                "coverage": grouping.coverage,
-                "unlabeled": len(grouping.unlabeled),
-            },
-        )
-        outputs += [
-            out_dir / "partition.tsv", out_dir / "partition.json",
-            out_dir / "content.tsv", out_dir / "content.json",
-        ]
+    for topic_id in _graph_topics(run_dir):
+        graph_dir, group_dir, stance_path = _topic_paths(config, run_dir, topic_id)
+        g = load_topic_graph(graph_dir, topic_id, config.window)
+        inputs += [graph_dir / "reposts.graph", graph_dir / "nodes.tsv", stance_path]
+        _, written = write_structural_groups(g, config.detection, config.seed, group_dir, chash)
+        outputs += written
+        _, written = write_content_groups(g, load_stances(stance_path), group_dir, chash)
+        outputs += written
     return inputs, outputs
-
-
-def _load_partition(run_dir: Path, topic_id: str):
-    from .groups import Partition
-
-    meta = json.loads((run_dir / "groups" / topic_id / "partition.json").read_text())
-    assignment = {}
-    with (run_dir / "groups" / topic_id / "partition.tsv").open(encoding="utf-8") as fh:
-        for line in fh:
-            node, block = line.rstrip("\n").split("\t")
-            assignment[node] = int(block)
-    return Partition(assignment=assignment, b=meta["b"], dl=meta["dl"])
-
-
-def _load_stances(run_dir: Path, topic_id: str) -> dict:
-    path = run_dir / "labels" / f"stances_{topic_id}.jsonl"
-    return {
-        user: label
-        for (user, _t), label in stance_store(path).mapping().items()
-    }
 
 
 def stage_metrics(config: PipelineConfig, run_dir: Path):
     inputs = [run_dir / "graphs" / "stats.json"]
     metrics_dir = run_dir / "metrics"
-    metrics_dir.mkdir(parents=True, exist_ok=True)
     stance_rows = []
     structural_rows = []
     outputs = []
-    for topic_id in _graph_topics(config, run_dir):
+    for topic_id in _graph_topics(run_dir):
         spec = config.topic_by_id(topic_id)
-        g = _load_topic_graph(config, run_dir, topic_id)
-        partition = _load_partition(run_dir, topic_id)
-        stances = _load_stances(run_dir, topic_id)
+        g, partition, stances, read = _load_topic_results(config, run_dir, topic_id)
+        inputs += read
         grouping = content_groups(stances, g)
-        inputs += [
-            run_dir / "groups" / topic_id / "partition.tsv",
-            run_dir / "labels" / f"stances_{topic_id}.jsonl",
-        ]
         s_report = stance_metric_report(
             g, grouping, spec,
             include_neutral=config.metrics.include_neutral,
@@ -440,7 +488,7 @@ def stage_metrics(config: PipelineConfig, run_dir: Path):
         structural_rows.append(t_report)
         pw_path = metrics_dir / f"pairwise_aei_{topic_id}.csv"
         labels = t_report.pairwise.labels
-        _write_csv(
+        write_csv(
             pw_path,
             ["group"] + [report_mod.block_letter(b) for b in labels],
             [
@@ -451,19 +499,19 @@ def stage_metrics(config: PipelineConfig, run_dir: Path):
         )
         outputs.append(pw_path)
 
-    _write_json(
+    write_json(
         metrics_dir / "stance_report.json",
         {
             "config_hash": config_hash(config),
             "rows": [asdict(r) for r in stance_rows],
         },
     )
-    _write_csv(
+    write_csv(
         metrics_dir / "stance_report.csv",
         report_mod.TABLE4_HEADER,
         [report_mod.table4_row(r) for r in stance_rows],
     )
-    _write_json(
+    write_json(
         metrics_dir / "structural_report.json",
         {
             "config_hash": config_hash(config),
@@ -481,7 +529,7 @@ def stage_metrics(config: PipelineConfig, run_dir: Path):
             ],
         },
     )
-    _write_csv(
+    write_csv(
         metrics_dir / "structural_report.csv",
         report_mod.TABLE5_HEADER,
         [report_mod.table5_row(r) for r in structural_rows],
@@ -494,13 +542,12 @@ def stage_metrics(config: PipelineConfig, run_dir: Path):
 
 
 def stage_crosstopic(config: PipelineConfig, run_dir: Path):
-    topics = _graph_topics(config, run_dir)
+    topics = _graph_topics(run_dir)
     cross_dir = run_dir / "crosstopic"
-    cross_dir.mkdir(parents=True, exist_ok=True)
     inputs = [run_dir / "graphs" / "stats.json"]
     outputs = []
     if len(topics) < 2:
-        _write_json(cross_dir / "skipped.json",
+        write_json(cross_dir / "skipped.json",
                     {"reason": f"need at least 2 topic networks, have {len(topics)}"})
         return inputs, [cross_dir / "skipped.json"]
 
@@ -508,31 +555,20 @@ def stage_crosstopic(config: PipelineConfig, run_dir: Path):
     stance_groupings = {}
     structural_groupings = {}
     for topic_id in topics:
-        g = _load_topic_graph(config, run_dir, topic_id)
+        g, partition, stances, read = _load_topic_results(config, run_dir, topic_id)
+        inputs += read
         networks.append(g)
-        stances = _load_stances(run_dir, topic_id)
         stance_groupings[topic_id] = {u: s for u, s in stances.items() if u in g.nodes}
-        structural_groupings[topic_id] = _load_partition(run_dir, topic_id).assignment
-        inputs += [
-            run_dir / "groups" / topic_id / "partition.tsv",
-            run_dir / "labels" / f"stances_{topic_id}.jsonl",
-        ]
+        structural_groupings[topic_id] = partition.assignment
 
     overlap = jaccard_matrix(networks)
-    _write_csv(
-        cross_dir / "overlap.csv",
-        ["topic"] + overlap.topics,
-        [
-            [overlap.topics[i]] + [report_mod.fmt_matrix(v) for v in overlap.values[i]]
-            for i in range(len(overlap.topics))
-        ],
-    )
+    _write_matrix(cross_dir / "overlap.csv", overlap)
     hg = topic_hypergraph(
         overlap,
         threshold=config.metrics.hypergraph_threshold,
         inclusive=config.metrics.hypergraph_inclusive,
     )
-    _write_json(
+    write_json(
         cross_dir / "hyperedges.json",
         {
             "config_hash": config_hash(config),
@@ -548,14 +584,7 @@ def stage_crosstopic(config: PipelineConfig, run_dir: Path):
     ):
         m = alignment_matrix(groupings, source, config.metrics.nmi_normalization)
         path = cross_dir / f"alignment_{source}.csv"
-        _write_csv(
-            path,
-            ["topic"] + m.topics,
-            [
-                [m.topics[i]] + [report_mod.fmt_matrix(v) for v in m.values[i]]
-                for i in range(len(m.topics))
-            ],
-        )
+        _write_matrix(path, m)
         outputs.append(path)
 
     for i in range(len(topics)):
@@ -564,9 +593,9 @@ def stage_crosstopic(config: PipelineConfig, run_dir: Path):
             table = joint_stance_table(stance_groupings[x], stance_groupings[y], x, y)
             path = cross_dir / f"joint_{x}__{y}.csv"
             if table is None:
-                _write_csv(path, ["note"], [["no shared classified users"]])
+                write_csv(path, ["note"], [["no shared classified users"]])
             else:
-                _write_csv(
+                write_csv(
                     path,
                     [f"{x} \\ {y}"] + list(table.order),
                     [
@@ -680,7 +709,7 @@ def run_pipeline(
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "manifests").mkdir(exist_ok=True)
     chash = config_hash(config)
-    _write_json(run_dir / "config.json", config_to_dict(config))
+    write_json(run_dir / "config.json", config_to_dict(config))
 
     manifests = []
     for stage in selected:
@@ -708,7 +737,7 @@ def run_pipeline(
             outputs={_rel(p, run_dir): file_hash(p) for p in outputs},
             wall_time_s=round(time.perf_counter() - started, 6),
         )
-        _write_json(_manifest_path(run_dir, stage), asdict(manifest))
+        write_json(_manifest_path(run_dir, stage), asdict(manifest))
         log.info("stage %s: done in %.2fs", stage, manifest.wall_time_s)
         manifests.append(manifest)
     return manifests

@@ -76,7 +76,12 @@ def table5_row(r) -> list[str]:
     ]
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def write_json(path: Path, payload) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_csv(path: Path, header: list, rows: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -142,7 +147,7 @@ def render_report(config, run_dir: Path):
                 fmt_count(t["total_author_days"]),
             ])
         path = report_dir / "table1_activity.csv"
-        _write_csv(
+        write_csv(
             path,
             ["action_type", "daily_average_actions", "daily_average_authors",
              "total_actions", "total_authors"],
@@ -181,7 +186,7 @@ def render_report(config, run_dir: Path):
                     dist.counts[theme],
                 ])
             path = report_dir / "table2_themes.csv"
-            _write_csv(path, ["theme", "share_of_all", "share_of_political", "posts"], rows)
+            write_csv(path, ["theme", "share_of_all", "share_of_political", "posts"], rows)
             outputs.append(path)
             pretty.append(_pretty_table(
                 "Posts by political theme",
@@ -204,7 +209,7 @@ def render_report(config, run_dir: Path):
             for topic, s in sorted(gstats["topics"].items())
         ]
         path = report_dir / "table3_networks.csv"
-        _write_csv(path, ["topic", "nodes", "edges", "average_degree"], rows)
+        write_csv(path, ["topic", "nodes", "edges", "average_degree"], rows)
         outputs.append(path)
         pretty.append(_pretty_table(
             "Network properties",
@@ -254,8 +259,7 @@ def render_report(config, run_dir: Path):
         "config_hash": config_hash(config),
         "sections": sections,
     }
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+    write_json(summary_path, summary)
     outputs.append(summary_path)
 
     text_path = report_dir / "report.txt"

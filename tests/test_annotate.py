@@ -11,12 +11,10 @@ from polarnet.annotate import (
     DEFAULT_TOPICS,
     NON_POLITICAL,
     THEMES,
-    ClusterRecord,
     StanceLabel,
     ThemeLabel,
     annotate_themes,
     assign_topic,
-    classify_cluster,
     classify_stance,
     classify_theme,
     sample_user_posts,
@@ -178,45 +176,6 @@ class TestThemeDistribution:
             assert abs(sum(dist.share_of_political.values()) - 1.0) < 1e-9
         reordered = theme_distribution(list(reversed(labels)))
         assert reordered.share_of_all == dist.share_of_all
-
-
-class TestClusterRule:
-    def cluster(self, non_political, total):
-        hist = {NON_POLITICAL: non_political, "Civil Rights": total - non_political}
-        return ClusterRecord("c1", [f"p{i}" for i in range(total)], hist)
-
-    def test_eighty_percent_apolitical(self):
-        assert classify_cluster(self.cluster(80, 100)) is False
-
-    def test_boundary_is_inclusive(self):
-        assert classify_cluster(self.cluster(75, 100)) is False
-
-    def test_just_under_threshold_is_political(self):
-        assert classify_cluster(self.cluster(74, 100)) is True
-
-    def test_zero_non_political(self):
-        assert classify_cluster(self.cluster(0, 100)) is True
-
-    def test_empty_cluster_rejected(self):
-        with pytest.raises(ValueError):
-            classify_cluster(ClusterRecord("c0", [], {}))
-
-    @given(
-        st.integers(0, 50),
-        st.integers(1, 50),
-        st.floats(0.05, 0.95),
-        st.floats(0.0, 0.95),
-    )
-    def test_monotone_in_threshold(self, np_count, pol_count, threshold, bump):
-        c = ClusterRecord(
-            "c", ["p"] * (np_count + pol_count),
-            {NON_POLITICAL: np_count, "Social Policy": pol_count},
-        )
-        # raising the threshold can only flip apolitical -> political
-        lo = classify_cluster(c, threshold)
-        hi = classify_cluster(c, min(threshold + bump, 1.0))
-        if lo:
-            assert hi
 
 
 class TestSampleUserPosts:

@@ -1,11 +1,12 @@
 import json
+import socket
 
 import pytest
 
 from conftest import FIXTURE_TOPICS
 from polarnet.cli import main
 from polarnet.config import config_from_dict
-from polarnet.pipeline import run_dir_for
+from polarnet.pipeline import run_dir_for, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,30 @@ class TestIngestCommands:
         assert main(["ingest", "sample", "--input", str(filtered),
                      "--out", str(sampled), "--fraction", "0.1", "--seed", "5"]) == 0
         assert len(sampled.read_text().splitlines()) == round(0.1 * n_filtered)
+
+    def test_stats_window_matches_pipeline(self, workspace, tmp_path, capsys):
+        event_path, _, _, raw = workspace
+        assert main(["ingest", "stats", "--input", str(event_path),
+                     "--out", str(tmp_path / "cli"), "--window", "2025-01:2025-03"]) == 0
+        config = config_from_dict(raw)
+        run_pipeline(config, stages=["ingest"], run_root=tmp_path / "runs")
+        run_dir = run_dir_for(config, tmp_path / "runs")
+        cli = json.loads((tmp_path / "cli" / "activity_stats.json").read_text())
+        ref = json.loads((run_dir / "stats" / "activity_stats.json").read_text())
+        assert cli["window"] == ["2025-01-01", "2025-03-31"]
+        assert cli.pop("config_hash") is None
+        ref.pop("config_hash")
+        assert cli == ref
+
+    def test_stats_counts_parse_errors(self, workspace, tmp_path, capsys):
+        event_path, _, _, _ = workspace
+        lines = event_path.read_text().splitlines()[:200]
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text("\n".join(lines + ["{not json", '{"action": "create"}']) + "\n")
+        assert main(["ingest", "stats", "--input", str(dump),
+                     "--out", str(tmp_path / "stats")]) == 0
+        payload = json.loads((tmp_path / "stats" / "activity_stats.json").read_text())
+        assert payload["parse_errors"] == 2
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +142,35 @@ class TestAnnotateAndGraphCommands:
         payload = json.loads(printed[printed.index("{"):])
         assert "max_ds" in payload
 
+    @pytest.mark.parametrize("case", ["custom_label", "unknown_flag"])
+    def test_stances_for_topic_without_spec(self, corpus_files, tmp_path, capsys, case):
+        filtered = corpus_files / "filtered.jsonl"
+        topic_labels = corpus_files / "labels" / "topics.jsonl"
+        extra = []
+        if case == "custom_label":
+            uri = json.loads(filtered.read_text().splitlines()[0])["uri"]
+            topic_labels = tmp_path / "topics.jsonl"
+            topic_labels.write_text(json.dumps(
+                {"post_uri": uri, "label": "custom_topic", "template_hash": "x",
+                 "timestamp": "2025-01-02T00:00:00+00:00"}) + "\n")
+            missing = "custom_topic"
+        else:
+            extra = ["--topic", "no_such_topic"]
+            missing = "no_such_topic"
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        # a provider call would fail with a transport error (exit 3)
+        out = tmp_path / "labels"
+        assert main(["annotate", "stances", "--input", str(filtered),
+                     "--topic-labels", str(topic_labels),
+                     "--provider", f"http://127.0.0.1:{port}/annotate",
+                     "--out", str(out)] + extra) == 2
+        err = capsys.readouterr().err
+        assert missing in err
+        assert "polarnet run --stages annotate" in err
+        assert not list(out.glob("stances_*.jsonl"))
+
 
 class TestRunAndReport:
     def test_run_all_stages(self, workspace, capsys):
@@ -158,6 +212,16 @@ class TestRunAndReport:
             assert main(["crosstopic", what, "--config", str(config_path),
                          "--grouping", "content", "--threshold", "0.2"]) == 0
 
+    def test_crosstopic_threshold_runs_in_own_run_dir(self, workspace, capsys):
+        _, config_path, _, raw = workspace
+        assert main(["crosstopic", "hypergraph", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main(["crosstopic", "hypergraph", "--config", str(config_path),
+                     "--threshold", "0.3"]) == 0
+        assert '"threshold": 0.3' in capsys.readouterr().out
+        default = run_dir_for(config_from_dict(raw)) / "crosstopic" / "hyperedges.json"
+        assert json.loads(default.read_text())["threshold"] == 0.2
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert main(["run", "--config", str(missing)]) == 2
@@ -171,3 +235,74 @@ class TestRunAndReport:
         assert main(["run", "--config", str(config_path2), "--stages", "metrics"]) == 3
         err = capsys.readouterr().err
         assert "graph" in err
+
+
+def _tree(root, patterns):
+    return {p.relative_to(root) for pattern in patterns for p in root.glob(pattern)}
+
+
+def test_stage_commands_match_run(event_fixture, tmp_path, capsys):
+    """The stage-command chain and ``polarnet run`` write the same artifacts."""
+    event_path, _ = event_fixture
+    chain = tmp_path / "chain"
+    corpus, labels = chain / "corpus", chain / "labels"
+    steps = [
+        ["ingest", "stats", "--input", str(event_path), "--out", str(chain / "stats"),
+         "--window", "2025-01:2025-03"],
+        ["ingest", "filter", "--input", str(event_path),
+         "--out", str(corpus / "filtered.jsonl"),
+         "--reposts-out", str(corpus / "reposts.jsonl")],
+        ["ingest", "sample", "--input", str(corpus / "filtered.jsonl"),
+         "--out", str(corpus / "sampled.jsonl"), "--fraction", "0.5", "--seed", "42"],
+        ["annotate", "themes", "--input", str(corpus / "filtered.jsonl"),
+         "--out", str(labels)],
+        ["annotate", "topics", "--input", str(corpus / "filtered.jsonl"),
+         "--themes", str(labels / "themes.jsonl"), "--out", str(labels)],
+        ["annotate", "stances", "--input", str(corpus / "filtered.jsonl"),
+         "--topic-labels", str(labels / "topics.jsonl"),
+         "--reposts", str(corpus / "reposts.jsonl"), "--out", str(labels), "--seed", "42"],
+        ["graph", "build", "--corpus", str(corpus / "filtered.jsonl"),
+         "--reposts", str(corpus / "reposts.jsonl"),
+         "--topic-labels", str(labels / "topics.jsonl"), "--out", str(chain / "graphs"),
+         "--window", "2025-01:2025-03"],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    topics = sorted(p.name for p in (chain / "graphs").iterdir())
+    assert len(topics) >= 2
+    for topic in topics:
+        out = str(chain / "groups" / topic)
+        assert main(["groups", "structural", "--graphs", str(chain / "graphs"),
+                     "--topic", topic, "--out", out, "--seed", "42"]) == 0
+        assert main(["groups", "content", "--graphs", str(chain / "graphs"),
+                     "--topic", topic, "--stances", str(labels / f"stances_{topic}.jsonl"),
+                     "--out", out]) == 0
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "inputs": [str(event_path)],
+        "out_dir": str(tmp_path / "runs"),
+        "seed": 42,
+        "window": {"start": "2025-01-01", "end": "2025-04-01"},
+        "sample": {"fraction": 0.5},
+    }))
+    assert main(["run", "--config", str(config_path)]) == 0
+    run_dir = next((tmp_path / "runs").iterdir())
+
+    patterns = ["corpus/*.jsonl", "labels/*.jsonl", "stats/activity_daily.csv",
+                "graphs/*/*/nodes.tsv", "graphs/*/*/reposts.graph", "graphs/*/*/reposts.csv",
+                "groups/*/partition.tsv", "groups/*/content.tsv"]
+    chain_files, run_files = _tree(chain, patterns), _tree(run_dir, patterns)
+    # run keeps an empty stance store for every configured topic
+    for rel in run_files - chain_files:
+        assert rel.name.startswith("stances_") and (run_dir / rel).stat().st_size == 0
+    assert chain_files <= run_files
+    assert len(chain_files) == 6 + len(topics) * 6
+    differing = [str(rel) for rel in sorted(chain_files)
+                 if (chain / rel).read_bytes() != (run_dir / rel).read_bytes()]
+    assert differing == []
+    stats = [json.loads((d / "stats" / "activity_stats.json").read_text())
+             for d in (chain, run_dir)]
+    for payload in stats:
+        payload.pop("config_hash")
+    assert stats[0] == stats[1]

@@ -9,8 +9,6 @@ from polarnet.graphs import (
     EdgeRecord,
     TopicNetwork,
     build_bipartite,
-    build_bundle,
-    build_follow_block_layers,
     export_csv,
     load_graph,
     network_stats,
@@ -21,7 +19,7 @@ from polarnet.graphs import (
     window_dirname,
     write_nodes_tsv,
 )
-from polarnet.ingest import PostRecord, RawEvent, RepostEvent
+from polarnet.ingest import PostRecord, RepostEvent
 
 UTC = timezone.utc
 T0 = datetime(2025, 1, 10, tzinfo=UTC)
@@ -131,48 +129,6 @@ class TestProjectReposts:
         reposters = {f"u{r}" for r, s in pairs if f"u{r}" != f"a{s}"}
         authors = {f"a{s}" for r, s in pairs if f"u{r}" != f"a{s}"}
         assert g.nodes == reposters | authors
-
-
-def follow_event(src, dst, collection="app.bsky.graph.follow"):
-    kind = "follow" if collection.endswith("follow") else "block"
-    return RawEvent("create", kind, src, T0, subject=dst)
-
-
-class TestFollowBlockLayers:
-    def test_induced_on_shared_nodes(self):
-        follows, blocks = build_follow_block_layers(
-            {"A", "B"},
-            [
-                follow_event("A", "B"),
-                follow_event("A", "X"),
-                RawEvent("create", "block", "A", T0, subject="B"),
-                RawEvent("create", "block", "X", T0, subject="A"),
-            ],
-        )
-        assert follows.multiplicity == Counter({("A", "B"): 1})
-        assert blocks.multiplicity == Counter({("A", "B"): 1})
-        assert follows.nodes == {"A", "B"}
-
-    def test_empty_records(self):
-        follows, blocks = build_follow_block_layers({"A", "B"}, [])
-        assert follows.edge_count == 0 and blocks.edge_count == 0
-        assert follows.nodes == {"A", "B"}
-
-    def test_bundle_union_node_set(self):
-        posts = [post("p1", "A"), post("p2", "C")]
-        labels = {"p1": "ai", "p2": "ai"}
-        b = build_bipartite(
-            {p.uri: p for p in posts},
-            [RepostEvent("B", "p1", T0)],
-            labels,
-            "ai",
-            likes=[("L", "p2", T0)],
-        )
-        bundle = build_bundle(b, [follow_event("L", "B"), follow_event("B", "Z")])
-        assert bundle.reposts.nodes == {"A", "B"}
-        assert bundle.likes.nodes == {"L", "C"}
-        assert bundle.follows.nodes == {"A", "B", "L", "C"}
-        assert bundle.follows.multiplicity == Counter({("L", "B"): 1})
 
 
 class TestNetworkStats:
