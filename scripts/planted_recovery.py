@@ -41,7 +41,6 @@ def main() -> None:
     parser.add_argument("--p-in", type=float, default=0.1)
     parser.add_argument("--p-out", type=float, default=0.01)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     # expected edge count of the planted model fixes the null density
@@ -57,8 +56,7 @@ def main() -> None:
     for i in range(args.graphs):
         g, labels = planted_partition_graph(n, 2, args.p_in, args.p_out,
                                             seed=args.seed + i)
-        part = detect_structural_groups(g, seed=args.seed + 9000 + i,
-                                        workers=args.workers)
+        part = detect_structural_groups(g, seed=args.seed + 9000 + i)
         score = nmi(part.assignment, labels)
         flag = "ok " if score >= 0.95 else "LOW"
         print(f"planted {i:02d}: B={part.b} NMI={score:.3f} {flag}")
@@ -67,8 +65,7 @@ def main() -> None:
     single = 0
     for i in range(args.graphs):
         g = erdos_renyi_graph(n, p_null, seed=args.seed + i)
-        part = detect_structural_groups(g, seed=args.seed + 9500 + i,
-                                        workers=args.workers)
+        part = detect_structural_groups(g, seed=args.seed + 9500 + i)
         print(f"null    {i:02d}: B={part.b}")
         single += part.b == 1
 

@@ -41,6 +41,9 @@ OTHER_TOPIC = "other"
 
 STANCES = ("for", "neutral", "against")
 
+# provider calls per item while it returns labels outside the closed set
+RETRIES = 3
+
 
 @dataclass(frozen=True)
 class TopicSpec:
@@ -108,9 +111,7 @@ class StanceLabel:
     stance: str
 
 
-def classify_theme(
-    post: PostRecord, provider: AnnotationProvider, retries: int = 3
-) -> ThemeLabel:
+def classify_theme(post: PostRecord, provider: AnnotationProvider) -> ThemeLabel:
     """Assign one of the closed themes to a post via the provider."""
     if not post.text:
         raise ValueError(f"post {post.uri} has empty text")
@@ -119,7 +120,7 @@ def classify_theme(
         context={"text": post.text, "label_lines": "\n".join(THEMES)},
         label_set=THEMES,
     )
-    theme = annotate_with_retry(provider, request, retries)
+    theme = annotate_with_retry(provider, request, RETRIES)
     return ThemeLabel(post.uri, theme)
 
 
@@ -128,7 +129,6 @@ def assign_topic(
     theme: ThemeLabel,
     provider: AnnotationProvider,
     topics: tuple[TopicSpec, ...] = DEFAULT_TOPICS,
-    retries: int = 3,
 ) -> TopicLabel:
     """Reclassify a politically themed post into a parent topic (or other)."""
     if theme.post_uri != post.uri:
@@ -141,7 +141,7 @@ def assign_topic(
         context={"text": post.text, "label_lines": "\n".join(label_set)},
         label_set=label_set,
     )
-    return TopicLabel(post.uri, annotate_with_retry(provider, request, retries))
+    return TopicLabel(post.uri, annotate_with_retry(provider, request, RETRIES))
 
 
 def sample_user_posts(
@@ -166,7 +166,6 @@ def classify_stance(
     sample: list[PostRecord],
     topic: TopicSpec,
     provider: AnnotationProvider,
-    retries: int = 3,
 ) -> StanceLabel:
     """Assign for/neutral/against on one topic from the user's sampled posts."""
     if not sample:
@@ -183,7 +182,7 @@ def classify_stance(
         },
         label_set=topic.label_set(),
     )
-    label = annotate_with_retry(provider, request, retries)
+    label = annotate_with_retry(provider, request, RETRIES)
     return StanceLabel(user, topic.id, topic.stance_from_label(label))
 
 
@@ -311,13 +310,12 @@ def annotate_themes(
     posts: Iterable[PostRecord],
     provider: AnnotationProvider,
     store: LabelStore,
-    retries: int = 3,
 ) -> AnnotationOutcome:
     outcome = AnnotationOutcome()
     h = template_hash("theme_v1")
     for post in posts:
         try:
-            label = classify_theme(post, provider, retries)
+            label = classify_theme(post, provider)
         except (AnnotationError, ValueError) as exc:
             outcome.skipped.append((post.uri, str(exc)))
             continue
@@ -332,7 +330,6 @@ def annotate_topics(
     provider: AnnotationProvider,
     store: LabelStore,
     topics: tuple[TopicSpec, ...] = DEFAULT_TOPICS,
-    retries: int = 3,
 ) -> AnnotationOutcome:
     outcome = AnnotationOutcome()
     h = template_hash("topic_v1")
@@ -341,7 +338,7 @@ def annotate_topics(
         if theme is None or theme == NON_POLITICAL:
             continue
         try:
-            label = assign_topic(post, ThemeLabel(post.uri, theme), provider, topics, retries)
+            label = assign_topic(post, ThemeLabel(post.uri, theme), provider, topics)
         except (AnnotationError, ValueError) as exc:
             outcome.skipped.append((post.uri, str(exc)))
             continue
@@ -357,7 +354,6 @@ def annotate_stances(
     store: LabelStore,
     k: int = 10,
     seed: int = 0,
-    retries: int = 3,
 ) -> AnnotationOutcome:
     """Classify every user with a non-empty topic corpus.
 
@@ -374,7 +370,7 @@ def annotate_stances(
             continue
         sample = sample_user_posts(user, corpus, k=k, seed=seed)
         try:
-            label = classify_stance(user, sample, topic, provider, retries)
+            label = classify_stance(user, sample, topic, provider)
         except AnnotationError as exc:
             outcome.skipped.append((user, str(exc)))
             continue

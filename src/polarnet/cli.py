@@ -14,19 +14,14 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .annotate import (
-    DEFAULT_TOPICS,
-    OTHER_TOPIC,
-    annotate_themes,
-    annotate_topics,
-    theme_store,
-    topic_store,
-)
+from .annotate import DEFAULT_TOPICS, OTHER_TOPIC, theme_store, topic_store
 from .config import STAGES, DetectionConfig, FilterConfig, SampleConfig, load_config
 from .errors import ConfigError, PolarnetError
 from .graphs import network_stats, parse_window
 from .groups import Partition, StanceGrouping, group_composition
 from .pipeline import (
+    annotate_post_themes,
+    annotate_post_topics,
     annotate_topic_stances,
     filter_posts,
     input_files,
@@ -96,10 +91,11 @@ def cmd_annotate(args):
     out.mkdir(parents=True, exist_ok=True)
     posts = load_posts(Path(args.input))
     if args.what == "themes":
-        outcome = annotate_themes(posts, provider, theme_store(out / "themes.jsonl"))
+        outcome = annotate_post_themes(posts, provider, out / "themes.jsonl")
     elif args.what == "topics":
         themes = theme_store(args.themes).mapping()
-        outcome = annotate_topics(posts, themes, provider, topic_store(out / "topics.jsonl"))
+        outcome = annotate_post_topics(posts, themes, provider, out / "topics.jsonl",
+                                       DEFAULT_TOPICS)
     else:
         return _annotate_stances(args, posts, provider, out)
     print(f"labeled {outcome.labeled}, skipped {len(outcome.skipped)}")
@@ -330,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topic-labels", required=True, help="topics.jsonl")
     p.add_argument("--out", required=True)
     p.add_argument("--topics", default="all", help="'all' or comma-separated ids")
-    p.add_argument("--tau", default="reposts", choices=["reposts"])
     p.add_argument("--window", help="e.g. 2024-12:2025-05")
     p.add_argument("--include-isolated", action="store_true")
     p.set_defaults(fn=cmd_graph_build)

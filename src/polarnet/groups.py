@@ -376,14 +376,6 @@ def _single_run(state: _SearchState, iters: int, run_seed: int) -> RunRecord:
     return record
 
 
-def _run_worker(args) -> tuple[RunRecord, list[int]]:
-    """One independent run (process-pool friendly). Each run starts by
-    re-drawing the whole assignment, so runs can share one state object."""
-    state, iters, run_seed = args
-    record = _single_run(state, iters, run_seed)
-    return record, list(state.assignment)
-
-
 def detect_structural_groups(
     g: TopicNetwork,
     max_groups: int = 5,
@@ -391,11 +383,10 @@ def detect_structural_groups(
     iters: int = 50,
     seed: int = 0,
     collapse_multigraph: bool = False,
-    workers: int = 1,
 ) -> Partition:
     partition, _ = detect_structural_groups_with_diagnostics(
         g, max_groups=max_groups, runs=runs, iters=iters, seed=seed,
-        collapse_multigraph=collapse_multigraph, workers=workers,
+        collapse_multigraph=collapse_multigraph,
     )
     return partition
 
@@ -407,7 +398,6 @@ def detect_structural_groups_with_diagnostics(
     iters: int = 50,
     seed: int = 0,
     collapse_multigraph: bool = False,
-    workers: int = 1,
 ) -> tuple[Partition, list[RunRecord]]:
     """Best partition over independent randomized runs.
 
@@ -416,9 +406,8 @@ def detect_structural_groups_with_diagnostics(
     smaller block id), with a merge/split pass every 10 sweeps and on
     convergence. The best run wins by description length; exact ties fall
     to the lexicographically smallest canonical labeling. Fixing the seed
-    fixes the full output, with any worker count: each run redraws the whole
-    search state from its own seed, and the best-of reduction is
-    order-independent.
+    fixes the full output: each run redraws the whole search state from its
+    own seed.
     """
     if len(g.nodes) == 0:
         raise ValueError("cannot detect groups on an empty graph")
@@ -429,15 +418,6 @@ def detect_structural_groups_with_diagnostics(
     master = random.Random(seed)
     run_seeds = [master.randrange(2**63) for _ in range(runs)]
     state = _SearchState(nodes_sorted, adj, max_groups)
-    jobs = [(state, iters, rs) for rs in run_seeds]
-
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_worker, jobs))
-    else:
-        results = [_run_worker(job) for job in jobs]
 
     # the trivial one-block partition is always on the table, so a bad
     # search budget can never return something worse than "no structure"
@@ -446,9 +426,11 @@ def detect_structural_groups_with_diagnostics(
     n, m = state.n, state.m
     candidates = [(_dl_value(n, m, [n], [2 * m], m), single, 1)]
     records: list[RunRecord] = []
-    for record, assignment in results:
+    for run_seed in run_seeds:
+        # each run re-draws the whole assignment, so runs share one state object
+        record = _single_run(state, iters, run_seed)
         records.append(record)
-        by_node = {node: assignment[i] for i, node in enumerate(nodes_sorted)}
+        by_node = {node: state.assignment[i] for i, node in enumerate(nodes_sorted)}
         canon, b = _canonical(nodes_sorted, by_node)
         candidates.append((record.dl, canon, b))
 

@@ -2,10 +2,14 @@
 
 Runs the stage sequence ingest -> annotate -> graph -> groups -> metrics
 -> crosstopic -> report inside a run directory keyed by the config hash.
-Each stage records a manifest of input and output hashes; stages are
-skipped when their manifest already matches, and refuse to run when an
-upstream artifact changed behind its manifest's back. The ``polarnet``
-stage subcommands call the same building blocks as the stages.
+Only the runner knows what a stage may read: ingest reads the files that
+the config's input globs match now, and every later stage may read the
+outputs of every earlier stage that has a manifest. A stage's manifest
+records the hashes of those inputs and of its own outputs. A stage is
+cached when both are unchanged, and refuses to run when an earlier stage's
+output changed or vanished behind that stage's manifest. Each manifest is
+loaded, and its outputs verified, once per ``run_pipeline`` call. The
+``polarnet`` stage subcommands call the same building blocks as the stages.
 """
 
 from __future__ import annotations
@@ -89,13 +93,6 @@ def file_hash(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _rel(path: Path, run_dir: Path) -> str:
-    try:
-        return str(path.relative_to(run_dir))
-    except ValueError:
-        return str(path)
 
 
 def run_dir_for(config: PipelineConfig, run_root: Optional[Path] = None) -> Path:
@@ -213,6 +210,18 @@ def write_reposts(path: Path, reposts) -> None:
 def load_reposts(path: Path) -> list:
     with path.open(encoding="utf-8") as fh:
         return [repost_from_json(line) for line in fh if line.strip()]
+
+
+def annotate_post_themes(posts: list, provider, path: Path):
+    """Label every post's theme into a fresh store at ``path``."""
+    path.unlink(missing_ok=True)
+    return annotate_themes(posts, provider, theme_store(path))
+
+
+def annotate_post_topics(posts: list, themes: dict, provider, path: Path, topics):
+    """Label every political post's parent topic into a fresh store at ``path``."""
+    path.unlink(missing_ok=True)
+    return annotate_topics(posts, themes, provider, topic_store(path, topics), topics)
 
 
 def annotate_topic_stances(spec, by_uri: dict, reposts: list, topic_map: dict, provider,
@@ -348,7 +357,7 @@ def write_content_groups(g, stances: dict, out_dir: Path, chash):
 
 
 # --- stage implementations -------------------------------------------------
-# Each returns (input paths, output paths); the runner handles hashing,
+# Each returns the paths it wrote; the runner handles inputs, hashing,
 # manifests, and caching.
 
 
@@ -365,29 +374,23 @@ def stage_ingest(config: PipelineConfig, run_dir: Path):
         write_posts(corpus_dir / "sampled.jsonl",
                     sample_posts(filtered, config.sample, config.seed))
         outputs.append(corpus_dir / "sampled.jsonl")
-    return inputs, outputs
+    return outputs
 
 
 def stage_annotate(config: PipelineConfig, run_dir: Path):
     corpus_name = "sampled.jsonl" if config.annotate_on == "sampled" else "filtered.jsonl"
-    corpus_path = run_dir / "corpus" / corpus_name
-    reposts_path = run_dir / "corpus" / "reposts.jsonl"
-    posts = load_posts(corpus_path)
-    reposts = load_reposts(reposts_path)
+    posts = load_posts(run_dir / "corpus" / corpus_name)
+    reposts = load_reposts(run_dir / "corpus" / "reposts.jsonl")
     provider = provider_from_spec(config.provider.spec_string(), config.provider.token())
 
     labels_dir = run_dir / "labels"
     labels_dir.mkdir(parents=True, exist_ok=True)
     themes_path = labels_dir / "themes.jsonl"
     topics_path = labels_dir / "topics.jsonl"
-    for stale in (themes_path, topics_path):
-        stale.unlink(missing_ok=True)
-
-    themes = theme_store(themes_path)
-    annotate_themes(posts, provider, themes)
-    topics = topic_store(topics_path, config.topics)
-    annotate_topics(posts, themes.mapping(), provider, topics, config.topics)
-    topic_map = topics.mapping()
+    annotate_post_themes(posts, provider, themes_path)
+    annotate_post_topics(posts, theme_store(themes_path).mapping(), provider, topics_path,
+                         config.topics)
+    topic_map = topic_store(topics_path, config.topics).mapping()
 
     by_uri = {p.uri: p for p in posts}
     outputs = [themes_path, topics_path]
@@ -395,16 +398,13 @@ def stage_annotate(config: PipelineConfig, run_dir: Path):
         path, _ = annotate_topic_stances(spec, by_uri, reposts, topic_map, provider,
                                          labels_dir, config.stance_sample_k, config.seed)
         outputs.append(path)
-    return [corpus_path, reposts_path], outputs
+    return outputs
 
 
 def stage_graph(config: PipelineConfig, run_dir: Path):
-    corpus_path = run_dir / "corpus" / "filtered.jsonl"
-    reposts_path = run_dir / "corpus" / "reposts.jsonl"
-    topics_path = run_dir / "labels" / "topics.jsonl"
-    posts = {p.uri: p for p in load_posts(corpus_path)}
-    reposts = load_reposts(reposts_path)
-    topic_map = topic_store(topics_path, config.topics).mapping()
+    posts = {p.uri: p for p in load_posts(run_dir / "corpus" / "filtered.jsonl")}
+    reposts = load_reposts(run_dir / "corpus" / "reposts.jsonl")
+    topic_map = topic_store(run_dir / "labels" / "topics.jsonl", config.topics).mapping()
 
     graphs_dir = run_dir / "graphs"
     outputs = []
@@ -417,7 +417,7 @@ def stage_graph(config: PipelineConfig, run_dir: Path):
     stats_path = graphs_dir / "stats.json"
     write_json(stats_path, {"config_hash": config_hash(config), "topics": stats_payload})
     outputs.append(stats_path)
-    return [corpus_path, reposts_path, topics_path], outputs
+    return outputs
 
 
 def _graph_topics(run_dir: Path) -> list[str]:
@@ -437,11 +437,10 @@ def _topic_paths(config: PipelineConfig, run_dir: Path, topic_id: str):
 
 
 def _load_topic_results(config: PipelineConfig, run_dir: Path, topic_id: str):
-    """A topic's network, partition and stances, plus the files recorded as read."""
+    """A topic's network, partition and stances."""
     graph_dir, group_dir, stance_path = _topic_paths(config, run_dir, topic_id)
     g = load_topic_graph(graph_dir, topic_id, config.window)
-    read = [group_dir / "partition.tsv", stance_path]
-    return g, load_partition(group_dir), load_stances(stance_path), read
+    return g, load_partition(group_dir), load_stances(stance_path)
 
 
 def _write_matrix(path: Path, m) -> None:
@@ -454,29 +453,25 @@ def _write_matrix(path: Path, m) -> None:
 
 def stage_groups(config: PipelineConfig, run_dir: Path):
     chash = config_hash(config)
-    inputs = [run_dir / "graphs" / "stats.json"]
     outputs = []
     for topic_id in _graph_topics(run_dir):
         graph_dir, group_dir, stance_path = _topic_paths(config, run_dir, topic_id)
         g = load_topic_graph(graph_dir, topic_id, config.window)
-        inputs += [graph_dir / "reposts.graph", graph_dir / "nodes.tsv", stance_path]
         _, written = write_structural_groups(g, config.detection, config.seed, group_dir, chash)
         outputs += written
         _, written = write_content_groups(g, load_stances(stance_path), group_dir, chash)
         outputs += written
-    return inputs, outputs
+    return outputs
 
 
 def stage_metrics(config: PipelineConfig, run_dir: Path):
-    inputs = [run_dir / "graphs" / "stats.json"]
     metrics_dir = run_dir / "metrics"
     stance_rows = []
     structural_rows = []
     outputs = []
     for topic_id in _graph_topics(run_dir):
         spec = config.topic_by_id(topic_id)
-        g, partition, stances, read = _load_topic_results(config, run_dir, topic_id)
-        inputs += read
+        g, partition, stances = _load_topic_results(config, run_dir, topic_id)
         grouping = content_groups(stances, g)
         s_report = stance_metric_report(
             g, grouping, spec,
@@ -538,25 +533,23 @@ def stage_metrics(config: PipelineConfig, run_dir: Path):
         metrics_dir / "stance_report.json", metrics_dir / "stance_report.csv",
         metrics_dir / "structural_report.json", metrics_dir / "structural_report.csv",
     ]
-    return inputs, outputs
+    return outputs
 
 
 def stage_crosstopic(config: PipelineConfig, run_dir: Path):
     topics = _graph_topics(run_dir)
     cross_dir = run_dir / "crosstopic"
-    inputs = [run_dir / "graphs" / "stats.json"]
     outputs = []
     if len(topics) < 2:
         write_json(cross_dir / "skipped.json",
                     {"reason": f"need at least 2 topic networks, have {len(topics)}"})
-        return inputs, [cross_dir / "skipped.json"]
+        return [cross_dir / "skipped.json"]
 
     networks = []
     stance_groupings = {}
     structural_groupings = {}
     for topic_id in topics:
-        g, partition, stances, read = _load_topic_results(config, run_dir, topic_id)
-        inputs += read
+        g, partition, stances = _load_topic_results(config, run_dir, topic_id)
         networks.append(g)
         stance_groupings[topic_id] = {u: s for u, s in stances.items() if u in g.nodes}
         structural_groupings[topic_id] = partition.assignment
@@ -604,7 +597,7 @@ def stage_crosstopic(config: PipelineConfig, run_dir: Path):
                     ],
                 )
             outputs.append(path)
-    return inputs, outputs
+    return outputs
 
 
 def stage_report(config: PipelineConfig, run_dir: Path):
@@ -621,18 +614,14 @@ _STAGE_FNS: dict[str, Callable] = {
     "report": stage_report,
 }
 
-# artifact that must exist before a stage can run -> stage that makes it
-_STAGE_PREREQS: dict[str, list[tuple[str, str]]] = {
-    "annotate": [("corpus/filtered.jsonl", "ingest"), ("corpus/reposts.jsonl", "ingest")],
-    "graph": [
-        ("corpus/filtered.jsonl", "ingest"),
-        ("corpus/reposts.jsonl", "ingest"),
-        ("labels/topics.jsonl", "annotate"),
-    ],
-    "groups": [("graphs/stats.json", "graph"), ("labels/topics.jsonl", "annotate")],
-    "metrics": [("graphs/stats.json", "graph"), ("groups", "groups")],
-    "crosstopic": [("graphs/stats.json", "graph"), ("groups", "groups")],
-    "report": [("stats/activity_stats.json", "ingest")],
+# stage -> earlier stages whose manifests must exist before it can run
+_NEEDS: dict[str, tuple[str, ...]] = {
+    "annotate": ("ingest",),
+    "graph": ("ingest", "annotate"),
+    "groups": ("annotate", "graph"),
+    "metrics": ("graph", "groups"),
+    "crosstopic": ("graph", "groups"),
+    "report": ("ingest",),
 }
 
 
@@ -648,45 +637,47 @@ def _load_manifest(run_dir: Path, stage: str) -> Optional[StageManifest]:
     return StageManifest(**data)
 
 
-def _check_prereqs(stage: str, run_dir: Path) -> None:
-    for artifact, producer in _STAGE_PREREQS.get(stage, []):
-        if not (run_dir / artifact).exists():
-            raise StageError(
-                stage,
-                f"missing upstream artifact {artifact!r}; run stage '{producer}' first",
-            )
-
-
-def _check_upstream_hashes(stage: str, run_dir: Path) -> None:
-    """Artifacts recorded by earlier stages must still match their manifests."""
-    mismatches = []
-    for earlier in STAGES:
-        if earlier == stage:
-            break
-        manifest = _load_manifest(run_dir, earlier)
-        if manifest is None:
+def _stale_outputs(manifest: StageManifest, run_dir: Path) -> tuple[list[str], list[str]]:
+    """A manifest's recorded outputs that are gone, and diff lines for those
+    whose bytes changed."""
+    missing, changed = [], []
+    for rel, recorded in manifest.outputs.items():
+        path = run_dir / rel
+        if not path.exists():
+            missing.append(rel)
             continue
-        for rel, recorded in manifest.outputs.items():
-            path = Path(rel) if Path(rel).is_absolute() else run_dir / rel
-            if path.exists():
-                current = file_hash(path)
-                if current != recorded:
-                    mismatches.append(
-                        f"{rel}: manifest {recorded[:12]} != on-disk {current[:12]}"
-                    )
-    if mismatches:
-        raise HashMismatchError(stage, mismatches)
+        current = file_hash(path)
+        if current != recorded:
+            changed.append(f"{rel}: manifest {recorded[:12]} != on-disk {current[:12]}")
+    return missing, changed
 
 
-def _is_cached(stage: str, run_dir: Path, chash: str) -> bool:
-    manifest = _load_manifest(run_dir, stage)
-    if manifest is None or manifest.config_hash != chash:
-        return False
-    for rel, recorded in {**manifest.inputs, **manifest.outputs}.items():
-        path = run_dir / rel if not Path(rel).is_absolute() else Path(rel)
-        if not path.exists() or file_hash(path) != recorded:
-            return False
-    return True
+def _earlier_outputs(stage: str, run_dir: Path, verified: dict) -> dict[str, str]:
+    """The union of the outputs of every stage before ``stage`` with a manifest.
+
+    ``verified`` maps each stage seen in this call to its verified output
+    hashes (None without a manifest); a stage not seen yet is loaded and
+    verified here, once.
+    """
+    earlier = STAGES[: STAGES.index(stage)]
+    changed = []
+    for prior in earlier:
+        if prior in verified:
+            continue
+        manifest = _load_manifest(run_dir, prior)
+        if manifest is not None:
+            missing, diff = _stale_outputs(manifest, run_dir)
+            if missing:
+                raise StageError(stage, f"{missing[0]!r} of stage '{prior}' is missing; "
+                                        f"run stage '{prior}' again")
+            changed += diff
+        verified[prior] = None if manifest is None else manifest.outputs
+    for need in _NEEDS.get(stage, ()):
+        if verified[need] is None:
+            raise StageError(stage, f"stage '{need}' has no manifest; run stage '{need}' first")
+    if changed:
+        raise HashMismatchError(stage, changed)
+    return {rel: h for prior in earlier for rel, h in (verified[prior] or {}).items()}
 
 
 def run_pipeline(
@@ -696,9 +687,10 @@ def run_pipeline(
 ) -> list[StageManifest]:
     """Execute the requested stages in pipeline order.
 
-    Stages whose manifests still match their inputs and outputs are
-    skipped as cached. A requested stage whose upstream artifacts are
-    missing fails fast, naming the stage that must run first.
+    A stage is cached when what it may read and what it wrote are
+    unchanged. A requested stage whose upstream manifests are missing
+    fails fast, naming the stage that must run first; one whose upstream
+    outputs changed on disk is refused with a hash diff.
     """
     selected = list(STAGES) if stages is None else [s for s in STAGES if s in stages]
     if stages is not None:
@@ -706,24 +698,31 @@ def run_pipeline(
         if unknown:
             raise StageError(sorted(unknown)[0], "unknown stage")
     run_dir = run_dir_for(config, run_root)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "manifests").mkdir(exist_ok=True)
     chash = config_hash(config)
     write_json(run_dir / "config.json", config_to_dict(config))
 
+    verified: dict[str, Optional[dict[str, str]]] = {}
     manifests = []
     for stage in selected:
-        _check_prereqs(stage, run_dir)
-        if _is_cached(stage, run_dir, chash):
-            manifest = _load_manifest(run_dir, stage)
+        if stage == "ingest":
+            inputs = {str(p): file_hash(p) for p in input_files(config.inputs)}
+        else:
+            inputs = _earlier_outputs(stage, run_dir, verified)
+        manifest = _load_manifest(run_dir, stage)
+        if (
+            manifest is not None
+            and manifest.config_hash == chash
+            and manifest.inputs == inputs
+            and not any(_stale_outputs(manifest, run_dir))
+        ):
             manifest.cached = True
+            verified[stage] = manifest.outputs
             log.info("stage %s: cached", stage)
             manifests.append(manifest)
             continue
-        _check_upstream_hashes(stage, run_dir)
         started = time.perf_counter()
         try:
-            inputs, outputs = _STAGE_FNS[stage](config, run_dir)
+            outputs = _STAGE_FNS[stage](config, run_dir)
         except (StageError, ConfigError):
             # a configuration error keeps its own type (and CLI exit code)
             raise
@@ -733,11 +732,12 @@ def run_pipeline(
             stage=stage,
             config_hash=chash,
             tool_version=__version__,
-            inputs={_rel(p, run_dir): file_hash(p) for p in inputs if p.exists()},
-            outputs={_rel(p, run_dir): file_hash(p) for p in outputs},
+            inputs=inputs,
+            outputs={str(p.relative_to(run_dir)): file_hash(p) for p in outputs},
             wall_time_s=round(time.perf_counter() - started, 6),
         )
         write_json(_manifest_path(run_dir, stage), asdict(manifest))
+        verified[stage] = manifest.outputs
         log.info("stage %s: done in %.2fs", stage, manifest.wall_time_s)
         manifests.append(manifest)
     return manifests

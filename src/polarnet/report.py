@@ -112,7 +112,6 @@ def render_report(config, run_dir: Path):
 
     report_dir = run_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    inputs = []
     outputs = []
     sections: dict[str, str] = {}
     pretty: list[str] = []
@@ -120,7 +119,6 @@ def render_report(config, run_dir: Path):
     # activity (action-count table)
     stats_path = run_dir / "stats" / "activity_stats.json"
     if stats_path.exists():
-        inputs.append(stats_path)
         stats = json.loads(stats_path.read_text(encoding="utf-8"))
         display = [
             ("like", "Likes"), ("post", "Posts"), ("repost", "Reposts"),
@@ -166,7 +164,6 @@ def render_report(config, run_dir: Path):
     # theme distribution
     themes_path = run_dir / "labels" / "themes.jsonl"
     if themes_path.exists():
-        inputs.append(themes_path)
         counts: Counter = Counter()
         with themes_path.open(encoding="utf-8") as fh:
             for line in fh:
@@ -202,7 +199,6 @@ def render_report(config, run_dir: Path):
     # network properties
     gstats_path = run_dir / "graphs" / "stats.json"
     if gstats_path.exists():
-        inputs.append(gstats_path)
         gstats = json.loads(gstats_path.read_text(encoding="utf-8"))
         rows = [
             [topic, s["nodes"], s["edges"], f"{s['average_degree']:.2f}"]
@@ -227,7 +223,6 @@ def render_report(config, run_dir: Path):
     ):
         src_path = run_dir / "metrics" / src
         if src_path.exists():
-            inputs.append(src_path)
             dst = report_dir / (
                 "table4_stance.csv" if name == "stance" else "table5_structural.csv"
             )
@@ -247,7 +242,6 @@ def render_report(config, run_dir: Path):
         for src_path in sorted(cross_dir.glob("*.csv")) + sorted(cross_dir.glob("*.json")):
             if src_path.name == "skipped.json":
                 continue
-            inputs.append(src_path)
             dst = report_dir / src_path.name
             shutil.copyfile(src_path, dst)
             outputs.append(dst)
@@ -265,4 +259,4 @@ def render_report(config, run_dir: Path):
     text_path = report_dir / "report.txt"
     text_path.write_text("\n".join(pretty), encoding="utf-8")
     outputs.append(text_path)
-    return inputs, outputs
+    return outputs

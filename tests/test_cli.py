@@ -96,7 +96,7 @@ def corpus_files(workspace, tmp_path_factory):
     graphs = tmp / "graphs"
     main(["graph", "build", "--corpus", str(filtered), "--reposts", str(reposts),
           "--topic-labels", str(labels / "topics.jsonl"), "--out", str(graphs),
-          "--topics", "all", "--tau", "reposts", "--window", "2025-01:2025-03"])
+          "--topics", "all", "--window", "2025-01:2025-03"])
     return tmp
 
 
@@ -141,6 +141,17 @@ class TestAnnotateAndGraphCommands:
         printed = capsys.readouterr().out
         payload = json.loads(printed[printed.index("{"):])
         assert "max_ds" in payload
+
+    @pytest.mark.parametrize("what", ["themes", "topics"])
+    def test_rerun_starts_a_fresh_store(self, corpus_files, tmp_path, capsys, what):
+        argv = ["annotate", what, "--input", str(corpus_files / "filtered.jsonl"),
+                "--out", str(tmp_path)]
+        if what == "topics":
+            argv += ["--themes", str(corpus_files / "labels" / "themes.jsonl")]
+        for _ in range(2):
+            assert main(argv) == 0
+        once = corpus_files / "labels" / f"{what}.jsonl"
+        assert (tmp_path / f"{what}.jsonl").read_bytes() == once.read_bytes()
 
     @pytest.mark.parametrize("case", ["custom_label", "unknown_flag"])
     def test_stances_for_topic_without_spec(self, corpus_files, tmp_path, capsys, case):

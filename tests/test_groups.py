@@ -158,12 +158,6 @@ class TestDetection:
         b = detect_structural_groups(g, runs=5, iters=20, seed=42)
         assert a == b
 
-    def test_parallel_runs_match_sequential(self):
-        g, _ = planted_partition_graph(80, 2, 0.15, 0.02, seed=5)
-        sequential = detect_structural_groups(g, runs=4, iters=15, seed=42, workers=1)
-        parallel = detect_structural_groups(g, runs=4, iters=15, seed=42, workers=2)
-        assert sequential == parallel
-
     def test_returned_dl_is_best_of_runs(self):
         g, _ = planted_partition_graph(80, 2, 0.15, 0.02, seed=6)
         part, records = detect_structural_groups_with_diagnostics(

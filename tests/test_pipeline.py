@@ -1,5 +1,6 @@
 import json
 import socket
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from conftest import fixture_config
 from polarnet.config import PROVIDER_URL_ENV, ProviderConfig, config_hash, load_config, stage_seed
 from polarnet.errors import ConfigError, HashMismatchError, StageError
+from polarnet import pipeline
 from polarnet.pipeline import run_dir_for, run_pipeline
 
 
@@ -221,6 +223,63 @@ class TestFailFast:
         config = replace(fixture_config(event_path, tmp_path), provider=ProviderConfig(kind="http"))
         with pytest.raises(ConfigError):
             run_pipeline(config, stages=["ingest", "annotate"])
+
+
+class TestCacheDecisions:
+    def test_report_reruns_after_partial_run(self, event_fixture, tmp_path):
+        event_path, _ = event_fixture
+        config = fixture_config(event_path, tmp_path)
+        run_pipeline(config, stages=["ingest", "report"])
+        manifests = run_pipeline(config)
+        assert [m.cached for m in manifests] == [True] + [False] * 6
+        summary = json.loads((run_dir_for(config) / "report" / "summary.json").read_text())
+        assert all(v == "ok" for v in summary["sections"].values()), summary
+
+    def test_new_dump_matching_glob_reruns_ingest(self, event_fixture, tmp_path):
+        event_path, _ = event_fixture
+        lines = event_path.read_text(encoding="utf-8").splitlines()
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        (dumps / "a.jsonl").write_text("\n".join(lines[:5000]) + "\n", encoding="utf-8")
+        config = fixture_config(dumps / "*.jsonl", tmp_path / "glob")
+        run_pipeline(config, stages=["ingest"])
+        (dumps / "b.jsonl").write_text("\n".join(lines[5000:]) + "\n", encoding="utf-8")
+        [manifest] = run_pipeline(config, stages=["ingest"])
+        assert not manifest.cached
+        assert sorted(manifest.inputs) == [str(dumps / "a.jsonl"), str(dumps / "b.jsonl")]
+        whole = fixture_config(event_path, tmp_path / "whole")
+        run_pipeline(whole, stages=["ingest"])
+        rel = Path("corpus") / "filtered.jsonl"
+        assert (run_dir_for(config) / rel).read_bytes() == (run_dir_for(whole) / rel).read_bytes()
+
+    def test_each_file_hashed_once_per_call(self, event_fixture, tmp_path, monkeypatch):
+        calls = Counter()
+        real = pipeline.file_hash
+
+        def counting(path):
+            calls[str(path)] += 1
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "file_hash", counting)
+        event_path, _ = event_fixture
+        config = fixture_config(event_path, tmp_path)
+        for cached in (False, True):
+            calls.clear()
+            manifests = run_pipeline(config)
+            assert all(m.cached == cached for m in manifests)
+            assert str(event_path) in calls
+            assert set(calls.values()) == {1}, calls.most_common(3)
+
+    def test_tampered_upstream_refuses_cached_stage(self, event_fixture, tmp_path):
+        event_path, _ = event_fixture
+        config = fixture_config(event_path, tmp_path)
+        run_pipeline(config)
+        corpus = run_dir_for(config) / "corpus" / "filtered.jsonl"
+        corpus.write_text(corpus.read_text() + "\n", encoding="utf-8")
+        with pytest.raises(HashMismatchError) as exc:
+            run_pipeline(config, stages=["metrics"])
+        assert exc.value.stage == "metrics"
+        assert "corpus/filtered.jsonl" in str(exc.value)
 
 
 class TestParseErrors:
