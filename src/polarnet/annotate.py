@@ -12,13 +12,20 @@ import json
 import random
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import tee
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import AnnotationError
 from .ingest import PostRecord
-from .providers import AnnotationProvider, AnnotationRequest, annotate_with_retry
+from .providers import (
+    AnnotationProvider,
+    AnnotationRequest,
+    annotate_in_order,
+    annotate_with_retry,
+)
 from .templates import template_hash
 
 NON_POLITICAL = "Non-Political"
@@ -111,17 +118,36 @@ class StanceLabel:
     stance: str
 
 
-def classify_theme(post: PostRecord, provider: AnnotationProvider) -> ThemeLabel:
-    """Assign one of the closed themes to a post via the provider."""
+def theme_request(post: PostRecord) -> AnnotationRequest:
+    """The provider request for a post's theme; ValueError for an empty post."""
     if not post.text:
         raise ValueError(f"post {post.uri} has empty text")
-    request = AnnotationRequest(
+    return AnnotationRequest(
         template_id="theme_v1",
         context={"text": post.text, "label_lines": "\n".join(THEMES)},
         label_set=THEMES,
     )
-    theme = annotate_with_retry(provider, request, RETRIES)
-    return ThemeLabel(post.uri, theme)
+
+
+def classify_theme(post: PostRecord, provider: AnnotationProvider) -> ThemeLabel:
+    """Assign one of the closed themes to a post via the provider."""
+    return ThemeLabel(post.uri, annotate_with_retry(provider, theme_request(post), RETRIES))
+
+
+def topic_request(
+    post: PostRecord, theme: ThemeLabel, topics: tuple[TopicSpec, ...] = DEFAULT_TOPICS
+) -> AnnotationRequest:
+    """The provider request for a political post's parent topic."""
+    if theme.post_uri != post.uri:
+        raise ValueError("theme label belongs to a different post")
+    if theme.theme == NON_POLITICAL:
+        raise ValueError(f"post {post.uri} is not political; no topic to assign")
+    label_set = tuple(t.id for t in topics) + (OTHER_TOPIC,)
+    return AnnotationRequest(
+        template_id="topic_v1",
+        context={"text": post.text, "label_lines": "\n".join(label_set)},
+        label_set=label_set,
+    )
 
 
 def assign_topic(
@@ -131,16 +157,7 @@ def assign_topic(
     topics: tuple[TopicSpec, ...] = DEFAULT_TOPICS,
 ) -> TopicLabel:
     """Reclassify a politically themed post into a parent topic (or other)."""
-    if theme.post_uri != post.uri:
-        raise ValueError("theme label belongs to a different post")
-    if theme.theme == NON_POLITICAL:
-        raise ValueError(f"post {post.uri} is not political; no topic to assign")
-    label_set = tuple(t.id for t in topics) + (OTHER_TOPIC,)
-    request = AnnotationRequest(
-        template_id="topic_v1",
-        context={"text": post.text, "label_lines": "\n".join(label_set)},
-        label_set=label_set,
-    )
+    request = topic_request(post, theme, topics)
     return TopicLabel(post.uri, annotate_with_retry(provider, request, RETRIES))
 
 
@@ -161,17 +178,12 @@ def sample_user_posts(
     return rng.sample(ordered, k)
 
 
-def classify_stance(
-    user: str,
-    sample: list[PostRecord],
-    topic: TopicSpec,
-    provider: AnnotationProvider,
-) -> StanceLabel:
-    """Assign for/neutral/against on one topic from the user's sampled posts."""
+def stance_request(user: str, sample: list[PostRecord], topic: TopicSpec) -> AnnotationRequest:
+    """The provider request for a user's stance on a topic from sampled posts."""
     if not sample:
         raise ValueError(f"empty post sample for user {user}")
     for_label, neutral_label, against_label = topic.label_set()
-    request = AnnotationRequest(
+    return AnnotationRequest(
         template_id="stance_v1",
         context={
             "texts": [p.text for p in sample],
@@ -182,7 +194,16 @@ def classify_stance(
         },
         label_set=topic.label_set(),
     )
-    label = annotate_with_retry(provider, request, RETRIES)
+
+
+def classify_stance(
+    user: str,
+    sample: list[PostRecord],
+    topic: TopicSpec,
+    provider: AnnotationProvider,
+) -> StanceLabel:
+    """Assign for/neutral/against on one topic from the user's sampled posts."""
+    label = annotate_with_retry(provider, stance_request(user, sample, topic), RETRIES)
     return StanceLabel(user, topic.id, topic.stance_from_label(label))
 
 
@@ -242,6 +263,21 @@ class LabelStore:
         self.vocab = frozenset(vocab)
         self.key_field = key_field
         self._lock = threading.Lock()
+        self._fh = None  # the shared handle inside ``writing()``
+
+    @contextmanager
+    def writing(self):
+        """Create the store if absent and append through one handle until exit.
+
+        The handle is flushed and closed on exit, also when the block raises.
+        """
+        with self.path.open("a", encoding="utf-8") as fh:
+            self._fh = fh
+            try:
+                yield self
+            finally:
+                with self._lock:
+                    self._fh = None
 
     def append(
         self,
@@ -259,10 +295,13 @@ class LabelStore:
         record.update(
             {"label": label, "template_hash": template_hash_value, "timestamp": timestamp}
         )
-        line = json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+        line = json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
         with self._lock:
+            if self._fh is not None:
+                self._fh.write(line)
+                return
             with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write(line)
 
     def load(self) -> list[dict]:
         if not self.path.exists():
@@ -306,22 +345,56 @@ class AnnotationOutcome:
     skipped: list[tuple[str, str]] = field(default_factory=list)
 
 
+def _label_in_order(
+    items: Iterable[tuple[str, str, AnnotationRequest]],
+    template_id: str,
+    provider: AnnotationProvider,
+    store: LabelStore,
+    outcome: AnnotationOutcome,
+    topic: Optional[TopicSpec] = None,
+) -> AnnotationOutcome:
+    """Label ``(key, timestamp, request)`` items into ``store`` in input order.
+
+    Items are drawn as requests are sent, so only those in flight are held.
+    The store is created if absent and kept open for the whole batch. An
+    item whose labels stayed outside the closed set is recorded as
+    skipped; a TransportError propagates after the labels before the
+    failing item were stored.
+    """
+    h = template_hash(template_id)
+    to_send, to_store = tee(items)
+    labels = annotate_in_order(provider, (request for _, _, request in to_send), RETRIES)
+    with store.writing():
+        # labels first, so the generator runs to its end and frees its threads
+        for label, (key, stamp, _) in zip(labels, to_store):
+            if isinstance(label, AnnotationError):
+                outcome.skipped.append((key, str(label)))
+                continue
+            if topic is None:
+                store.append(key, label, h, stamp)
+            else:
+                store.append(key, topic.stance_from_label(label), h, stamp, topic=topic.id)
+            outcome.labeled += 1
+    return outcome
+
+
 def annotate_themes(
     posts: Iterable[PostRecord],
     provider: AnnotationProvider,
     store: LabelStore,
 ) -> AnnotationOutcome:
     outcome = AnnotationOutcome()
-    h = template_hash("theme_v1")
-    for post in posts:
-        try:
-            label = classify_theme(post, provider)
-        except (AnnotationError, ValueError) as exc:
-            outcome.skipped.append((post.uri, str(exc)))
-            continue
-        store.append(post.uri, label.theme, h, post.created_at.isoformat())
-        outcome.labeled += 1
-    return outcome
+
+    def items():
+        for post in posts:
+            try:
+                request = theme_request(post)
+            except ValueError as exc:
+                outcome.skipped.append((post.uri, str(exc)))
+                continue
+            yield post.uri, post.created_at.isoformat(), request
+
+    return _label_in_order(items(), "theme_v1", provider, store, outcome)
 
 
 def annotate_topics(
@@ -331,20 +404,15 @@ def annotate_topics(
     store: LabelStore,
     topics: tuple[TopicSpec, ...] = DEFAULT_TOPICS,
 ) -> AnnotationOutcome:
-    outcome = AnnotationOutcome()
-    h = template_hash("topic_v1")
-    for post in posts:
-        theme = themes.get(post.uri)
-        if theme is None or theme == NON_POLITICAL:
-            continue
-        try:
-            label = assign_topic(post, ThemeLabel(post.uri, theme), provider, topics)
-        except (AnnotationError, ValueError) as exc:
-            outcome.skipped.append((post.uri, str(exc)))
-            continue
-        store.append(post.uri, label.topic, h, post.created_at.isoformat())
-        outcome.labeled += 1
-    return outcome
+    def items():
+        for post in posts:
+            theme = themes.get(post.uri)
+            if theme is None or theme == NON_POLITICAL:
+                continue
+            request = topic_request(post, ThemeLabel(post.uri, theme), topics)
+            yield post.uri, post.created_at.isoformat(), request
+
+    return _label_in_order(items(), "topic_v1", provider, store, AnnotationOutcome())
 
 
 def annotate_stances(
@@ -362,19 +430,14 @@ def annotate_stances(
     keeps reruns byte-identical.
     """
     outcome = AnnotationOutcome()
-    h = template_hash("stance_v1")
-    for user in sorted(corpora):
-        corpus = corpora[user]
-        if not corpus:
-            outcome.skipped.append((user, "empty topic corpus"))
-            continue
-        sample = sample_user_posts(user, corpus, k=k, seed=seed)
-        try:
-            label = classify_stance(user, sample, topic, provider)
-        except AnnotationError as exc:
-            outcome.skipped.append((user, str(exc)))
-            continue
-        stamp = max(p.created_at for p in sample).isoformat()
-        store.append(user, label.stance, h, stamp, topic=topic.id)
-        outcome.labeled += 1
-    return outcome
+
+    def items():
+        for user in sorted(corpora):
+            if not corpora[user]:
+                outcome.skipped.append((user, "empty topic corpus"))
+                continue
+            sample = sample_user_posts(user, corpora[user], k=k, seed=seed)
+            stamp = max(p.created_at for p in sample).isoformat()
+            yield user, stamp, stance_request(user, sample, topic)
+
+    return _label_in_order(items(), "stance_v1", provider, store, outcome, topic)

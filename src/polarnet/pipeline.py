@@ -7,9 +7,11 @@ the config's input globs match now, and every later stage may read the
 outputs of every earlier stage that has a manifest. A stage's manifest
 records the hashes of those inputs and of its own outputs. A stage is
 cached when both are unchanged, and refuses to run when an earlier stage's
-output changed or vanished behind that stage's manifest. Each manifest is
-loaded, and its outputs verified, once per ``run_pipeline`` call. The
-``polarnet`` stage subcommands call the same building blocks as the stages.
+output changed or vanished behind that stage's manifest, or when that
+earlier stage ran on inputs that have changed since. Each manifest is
+loaded, and its outputs and inputs verified, once per ``run_pipeline``
+call. The ``polarnet`` stage subcommands call the same building blocks as
+the stages.
 """
 
 from __future__ import annotations
@@ -240,7 +242,6 @@ def annotate_topic_stances(spec, by_uri: dict, reposts: list, topic_map: dict, p
             corpora.setdefault(r.reposter, []).append(by_uri[r.subject_uri])
     path = labels_dir / f"stances_{spec.id}.jsonl"
     path.unlink(missing_ok=True)
-    path.touch()  # topics with no participants still get a store file
     outcome = annotate_stances(
         corpora, spec, provider, stance_store(path),
         k=k, seed=stage_seed(master_seed, f"annotate.stances.{spec.id}"),
@@ -652,16 +653,28 @@ def _stale_outputs(manifest: StageManifest, run_dir: Path) -> tuple[list[str], l
     return missing, changed
 
 
-def _earlier_outputs(stage: str, run_dir: Path, verified: dict) -> dict[str, str]:
+def _dump_hashes(config: PipelineConfig) -> dict[str, str]:
+    """Ingest's inputs: every file the config's input globs match now."""
+    return {str(p): file_hash(p) for p in input_files(config.inputs)}
+
+
+def _union(stages, verified: dict) -> dict[str, str]:
+    return {rel: h for prior in stages for rel, h in (verified[prior] or {}).items()}
+
+
+def _earlier_outputs(stage: str, config: PipelineConfig, run_dir: Path,
+                     verified: dict) -> dict[str, str]:
     """The union of the outputs of every stage before ``stage`` with a manifest.
 
     ``verified`` maps each stage seen in this call to its verified output
     hashes (None without a manifest); a stage not seen yet is loaded and
-    verified here, once.
+    verified here, once, against its own outputs and against its inputs:
+    the dumps for ingest, the verified outputs of the stages before it
+    otherwise.
     """
     earlier = STAGES[: STAGES.index(stage)]
     changed = []
-    for prior in earlier:
+    for i, prior in enumerate(earlier):
         if prior in verified:
             continue
         manifest = _load_manifest(run_dir, prior)
@@ -671,13 +684,17 @@ def _earlier_outputs(stage: str, run_dir: Path, verified: dict) -> dict[str, str
                 raise StageError(stage, f"{missing[0]!r} of stage '{prior}' is missing; "
                                         f"run stage '{prior}' again")
             changed += diff
+            current = _dump_hashes(config) if prior == "ingest" else _union(earlier[:i], verified)
+            if manifest.inputs != current:
+                raise StageError(stage, f"stage '{prior}' ran on inputs that have changed "
+                                        f"since; run stage '{prior}' again")
         verified[prior] = None if manifest is None else manifest.outputs
     for need in _NEEDS.get(stage, ()):
         if verified[need] is None:
             raise StageError(stage, f"stage '{need}' has no manifest; run stage '{need}' first")
     if changed:
         raise HashMismatchError(stage, changed)
-    return {rel: h for prior in earlier for rel, h in (verified[prior] or {}).items()}
+    return _union(earlier, verified)
 
 
 def run_pipeline(
@@ -705,9 +722,9 @@ def run_pipeline(
     manifests = []
     for stage in selected:
         if stage == "ingest":
-            inputs = {str(p): file_hash(p) for p in input_files(config.inputs)}
+            inputs = _dump_hashes(config)
         else:
-            inputs = _earlier_outputs(stage, run_dir, verified)
+            inputs = _earlier_outputs(stage, config, run_dir, verified)
         manifest = _load_manifest(run_dir, stage)
         if (
             manifest is not None
@@ -723,6 +740,7 @@ def run_pipeline(
         started = time.perf_counter()
         try:
             outputs = _STAGE_FNS[stage](config, run_dir)
+            hashes = {str(p.relative_to(run_dir)): file_hash(p) for p in outputs}
         except (StageError, ConfigError):
             # a configuration error keeps its own type (and CLI exit code)
             raise
@@ -733,7 +751,7 @@ def run_pipeline(
             config_hash=chash,
             tool_version=__version__,
             inputs=inputs,
-            outputs={str(p.relative_to(run_dir)): file_hash(p) for p in outputs},
+            outputs=hashes,
             wall_time_s=round(time.perf_counter() - started, 6),
         )
         write_json(_manifest_path(run_dir, stage), asdict(manifest))

@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Iterable, Iterator, Optional, Protocol, Union
 
 from .errors import AnnotationError, TransportError
 
@@ -25,6 +27,12 @@ class AnnotationRequest:
 
 
 class AnnotationProvider(Protocol):
+    """Answers one request with one label.
+
+    ``IN_FLIGHT`` is how many calls ``annotate_in_order`` keeps running at
+    once; a provider without it is called one request at a time.
+    """
+
     def annotate(self, request: AnnotationRequest) -> str: ...
 
 
@@ -46,6 +54,44 @@ def annotate_with_retry(
     raise AnnotationError(
         f"provider returned {last!r}, not in label set {list(request.label_set)}"
     )
+
+
+def _label_or_error(
+    provider: AnnotationProvider, request: AnnotationRequest, retries: int
+) -> Union[str, AnnotationError]:
+    try:
+        return annotate_with_retry(provider, request, retries)
+    except AnnotationError as exc:
+        return exc
+
+
+def annotate_in_order(
+    provider: AnnotationProvider, requests: Iterable[AnnotationRequest], retries: int = 3
+) -> Iterator[Union[str, AnnotationError]]:
+    """Yield each request's label, or the AnnotationError it ended in, in input order.
+
+    Up to ``provider.IN_FLIGHT`` calls run at once on worker threads; a
+    request is sent only once the one ``IN_FLIGHT`` places before it has
+    been answered. Any other exception, such as TransportError, propagates
+    at the first failing request in input order, after the calls still
+    running have returned, so a dead endpoint costs one round of calls.
+    """
+    slots = getattr(provider, "IN_FLIGHT", 1)
+    if slots <= 1:
+        for request in requests:
+            yield _label_or_error(provider, request, retries)
+        return
+    pending: deque = deque()
+    pool = ThreadPoolExecutor(max_workers=slots, thread_name_prefix="annotate")
+    try:
+        for request in requests:
+            if len(pending) == slots:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_label_or_error, provider, request, retries))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # Keyword cues the mock provider keys on. The fixture generator embeds these
@@ -142,6 +188,8 @@ class MockProvider:
     neutral on a tie or when no cue appears.
     """
 
+    IN_FLIGHT = 1  # CPU-bound: threads would only add switching
+
     def annotate(self, request: AnnotationRequest) -> str:
         if request.template_id == "theme_v1":
             return self._scan(request.context["text"], THEME_CUES, "Non-Political")
@@ -184,6 +232,14 @@ class HttpProvider:
     response: {"label": "<one of label_set>"}. Endpoint and bearer token
     come from configuration or the documented environment variables.
     """
+
+    # Calls kept in flight by annotate_in_order: a call mostly waits on the
+    # network, so overlapping them hides the round trip. Against a loopback
+    # endpoint serving two requests at once, 4 ran the pipeline faster than
+    # 8; 8 simultaneous connects also overflow the default listen backlog
+    # of Python's http.server (5), and a dropped connect is retried only
+    # after a second.
+    IN_FLIGHT = 4
 
     def __init__(self, url: str, token: Optional[str] = None, timeout: float = 30.0):
         self.url = url

@@ -1,5 +1,8 @@
 import json
+import random
+import sys
 import threading
+import time
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from polarnet.annotate import (
     DEFAULT_TOPICS,
     NON_POLITICAL,
+    RETRIES,
     THEMES,
     StanceLabel,
     ThemeLabel,
@@ -21,13 +25,21 @@ from polarnet.annotate import (
     stance_store,
     theme_distribution,
     theme_store,
+    topic_store,
 )
 from polarnet.errors import AnnotationError, TransportError
 from polarnet.ingest import PostRecord
+from polarnet.pipeline import (
+    annotate_post_themes,
+    annotate_post_topics,
+    annotate_topic_stances,
+    read_events,
+)
 from polarnet.providers import (
     AnnotationRequest,
     HttpProvider,
     MockProvider,
+    annotate_in_order,
     annotate_with_retry,
     provider_from_spec,
 )
@@ -54,6 +66,43 @@ class FlakyProvider:
         if self.calls <= self.junk_rounds:
             return "??" + self.good_label
         return self.good_label
+
+
+class ConcurrentProvider(MockProvider):
+    """MockProvider's labels after a random pause, several calls at once.
+
+    ``fail_text`` raises TransportError for that post; ``junk_text`` always
+    answers outside the label set for that post.
+    """
+
+    IN_FLIGHT = 4
+
+    def __init__(self, seed=0, fail_text=None, junk_text=None):
+        self.rng = random.Random(seed)
+        self.lock = threading.Lock()
+        self.fail_text = fail_text
+        self.junk_text = junk_text
+        self.calls = []
+        self.active = 0
+        self.peak = 0
+
+    def annotate(self, request):
+        text = request.context.get("text")
+        with self.lock:
+            self.calls.append(text)
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            pause = self.rng.uniform(0.0, 0.004)
+        try:
+            time.sleep(pause)
+            if text is not None and text == self.fail_text:
+                raise TransportError("endpoint went away")
+            if text is not None and text == self.junk_text:
+                return "??"
+            return super().annotate(request)
+        finally:
+            with self.lock:
+                self.active -= 1
 
 
 class TestMockProvider:
@@ -125,6 +174,62 @@ class TestRetries:
         )
         assert outcome.labeled == 0
         assert outcome.skipped[0][0] == "p1"
+
+
+class TestConcurrentAnnotation:
+    @staticmethod
+    def label_all(posts, reposts, provider, out):
+        out.mkdir()
+        annotate_post_themes(posts, provider, out / "themes.jsonl")
+        themes = theme_store(out / "themes.jsonl").mapping()
+        annotate_post_topics(posts, themes, provider, out / "topics.jsonl", DEFAULT_TOPICS)
+        topic_map = topic_store(out / "topics.jsonl").mapping()
+        by_uri = {p.uri: p for p in posts}
+        for spec in DEFAULT_TOPICS:
+            annotate_topic_stances(spec, by_uri, reposts, topic_map, provider, out, 10, 3)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_stores_match_sequential_mock(self, event_fixture, tmp_path):
+        event_path, _ = event_fixture
+        _, _, posts, reposts = read_events([event_path])
+        posts = sorted(posts.values(), key=lambda p: p.uri)[:400]
+        provider = ConcurrentProvider(seed=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often to shake out ordering bugs
+        try:
+            concurrent = self.label_all(posts, reposts, provider, tmp_path / "concurrent")
+        finally:
+            sys.setswitchinterval(interval)
+        sequential = self.label_all(posts, reposts, MockProvider(), tmp_path / "sequential")
+        assert provider.peak > 1
+        assert len(concurrent) == 2 + len(DEFAULT_TOPICS)
+        assert sum(b.count(b"\n") for b in sequential.values()) > len(posts)
+        assert concurrent == sequential
+
+    @pytest.mark.parametrize("fail_at", [0, 7, 39])
+    def test_transport_error_stops_within_one_round(self, tmp_path, fail_at):
+        posts = [post(f"p{i:03d}", f"tariff news {i}") for i in range(40)]
+        provider = ConcurrentProvider(seed=fail_at, fail_text=f"tariff news {fail_at}")
+        store = theme_store(tmp_path / "themes.jsonl")
+        with pytest.raises(TransportError):
+            annotate_themes(posts, provider, store)
+        assert len(provider.calls) <= fail_at + ConcurrentProvider.IN_FLIGHT
+        # labels answered before the failing item are kept, in input order
+        assert [r["post_uri"] for r in store.load()] == [p.uri for p in posts[:fail_at]]
+
+    def test_invalid_labels_retried_then_skipped(self, tmp_path):
+        posts = [post(f"p{i:03d}", f"kyiv update {i}") for i in range(20)]
+        provider = ConcurrentProvider(junk_text="kyiv update 5")
+        store = theme_store(tmp_path / "themes.jsonl")
+        outcome = annotate_themes(posts + [post("p999", "")], provider, store)
+        assert provider.calls.count("kyiv update 5") == RETRIES
+        assert len(provider.calls) == 19 + RETRIES
+        assert outcome.labeled == 19
+        assert sorted(uri for uri, _ in outcome.skipped) == ["p005", "p999"]
+        assert "has empty text" in dict(outcome.skipped)["p999"]
+        assert [r["post_uri"] for r in store.load()] == [
+            p.uri for p in posts if p.uri != "p005"
+        ]
 
 
 class TestThemeDistribution:
@@ -281,6 +386,7 @@ def endpoint():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpProvider:
@@ -297,6 +403,20 @@ class TestHttpProvider:
             "context": {"text": "hi"},
             "label_set": list(THEMES),
         }
+
+    def test_labels_in_request_order(self, endpoint):
+        url = f"http://127.0.0.1:{endpoint.server_address[1]}/annotate"
+        provider = HttpProvider(url)
+        # the endpoint answers each request's first label
+        requests = [
+            AnnotationRequest("theme_v1", {"text": f"t{i}"}, THEMES[i % 9:] + THEMES[:i % 9])
+            for i in range(30)
+        ]
+        labels = list(annotate_in_order(provider, requests))
+        assert labels == [THEMES[i % 9] for i in range(30)]
+        assert sorted(body["context"]["text"] for _, body in endpoint.seen) == sorted(
+            f"t{i}" for i in range(30)
+        )
 
     def test_unreachable_is_transport_error(self):
         provider = HttpProvider("http://127.0.0.1:9/annotate", timeout=0.5)

@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 from conftest import fixture_config
-from polarnet.config import PROVIDER_URL_ENV, ProviderConfig, config_hash, load_config, stage_seed
+from polarnet.config import (
+    PROVIDER_URL_ENV,
+    STAGES,
+    ProviderConfig,
+    config_hash,
+    load_config,
+    stage_seed,
+)
 from polarnet.errors import ConfigError, HashMismatchError, StageError
 from polarnet import pipeline
 from polarnet.pipeline import run_dir_for, run_pipeline
@@ -224,6 +231,35 @@ class TestFailFast:
         with pytest.raises(ConfigError):
             run_pipeline(config, stages=["ingest", "annotate"])
 
+    def test_missing_output_is_stage_error(self, event_fixture, tmp_path, monkeypatch):
+        event_path, _ = event_fixture
+        config = fixture_config(event_path, tmp_path)
+        monkeypatch.setitem(pipeline._STAGE_FNS, "report",
+                            lambda config, run_dir: [run_dir / "report" / "never_written.csv"])
+        with pytest.raises(StageError) as exc:
+            run_pipeline(config, stages=["ingest", "report"])
+        assert exc.value.stage == "report"
+        assert "never_written.csv" in exc.value.reason
+
+    def test_stale_earlier_stage_refused(self, event_fixture, tmp_path):
+        event_path, _ = event_fixture
+        lines = event_path.read_text(encoding="utf-8").splitlines()
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        (dumps / "a.jsonl").write_text("\n".join(lines[:6000]) + "\n", encoding="utf-8")
+        config = fixture_config(dumps / "*.jsonl", tmp_path / "runs")
+        run_pipeline(config)
+        (dumps / "b.jsonl").write_text("\n".join(lines[6000:]) + "\n", encoding="utf-8")
+        for stages, stale in ((["report"], "ingest"), (["ingest", "report"], "annotate")):
+            with pytest.raises(StageError) as exc:
+                run_pipeline(config, stages=stages)
+            assert exc.value.stage == "report"
+            assert f"run stage '{stale}' again" in exc.value.reason
+        manifests = run_pipeline(config)
+        assert [m.cached for m in manifests] == [True] + [False] * 6
+        summary = json.loads((run_dir_for(config) / "report" / "summary.json").read_text())
+        assert all(v == "ok" for v in summary["sections"].values()), summary
+
 
 class TestCacheDecisions:
     def test_report_reruns_after_partial_run(self, event_fixture, tmp_path):
@@ -389,6 +425,16 @@ class TestDegenerateConfigs:
         assert (run_dir / "crosstopic" / "skipped.json").exists()
         summary = json.loads((run_dir / "report" / "summary.json").read_text())
         assert summary["sections"]["crosstopic"] == "missing"
+
+    def test_no_post_kept_still_completes(self, event_fixture, tmp_path):
+        event_path, _ = event_fixture
+        base = fixture_config(event_path, tmp_path)
+        config = replace(base, filters=replace(base.filters, min_reposts=100_000))
+        manifests = run_pipeline(config)
+        assert [m.stage for m in manifests] == list(STAGES)
+        labels = run_dir_for(config) / "labels"
+        assert (labels / "themes.jsonl").read_bytes() == b""
+        assert (labels / "topics.jsonl").read_bytes() == b""
 
     def test_sampled_corpus_feeds_annotation(self, event_fixture, tmp_path):
         from polarnet.config import config_from_dict
