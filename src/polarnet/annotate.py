@@ -16,11 +16,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import tee
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import AnnotationError
 from .ingest import PostRecord
 from .providers import (
+    RETRIES,
     AnnotationProvider,
     AnnotationRequest,
     annotate_in_order,
@@ -47,9 +48,6 @@ POLITICAL_THEMES = tuple(t for t in THEMES if t != NON_POLITICAL)
 OTHER_TOPIC = "other"
 
 STANCES = ("for", "neutral", "against")
-
-# provider calls per item while it returns labels outside the closed set
-RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -267,7 +265,7 @@ class LabelStore:
 
     @contextmanager
     def writing(self):
-        """Create the store if absent and append through one handle until exit.
+        """Create the store if absent and open it for ``append`` until exit.
 
         The handle is flushed and closed on exit, also when the block raises.
         """
@@ -287,6 +285,7 @@ class LabelStore:
         timestamp: str,
         topic: Optional[str] = None,
     ) -> None:
+        """Write one record; call it inside ``writing()``."""
         if label not in self.vocab:
             raise ValueError(f"label {label!r} not in store vocabulary")
         record = {self.key_field: key}
@@ -297,11 +296,7 @@ class LabelStore:
         )
         line = json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
         with self._lock:
-            if self._fh is not None:
-                self._fh.write(line)
-                return
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line)
+            self._fh.write(line)
 
     def load(self) -> list[dict]:
         if not self.path.exists():
@@ -351,10 +346,11 @@ def _label_in_order(
     provider: AnnotationProvider,
     store: LabelStore,
     outcome: AnnotationOutcome,
-    topic: Optional[TopicSpec] = None,
+    append: Callable[[str, str, str, str], None],
 ) -> AnnotationOutcome:
     """Label ``(key, timestamp, request)`` items into ``store`` in input order.
 
+    Each label is stored by ``append(key, label, template_hash, timestamp)``.
     Items are drawn as requests are sent, so only those in flight are held.
     The store is created if absent and kept open for the whole batch. An
     item whose labels stayed outside the closed set is recorded as
@@ -363,17 +359,14 @@ def _label_in_order(
     """
     h = template_hash(template_id)
     to_send, to_store = tee(items)
-    labels = annotate_in_order(provider, (request for _, _, request in to_send), RETRIES)
+    labels = annotate_in_order(provider, (request for _, _, request in to_send))
     with store.writing():
         # labels first, so the generator runs to its end and frees its threads
         for label, (key, stamp, _) in zip(labels, to_store):
             if isinstance(label, AnnotationError):
                 outcome.skipped.append((key, str(label)))
                 continue
-            if topic is None:
-                store.append(key, label, h, stamp)
-            else:
-                store.append(key, topic.stance_from_label(label), h, stamp, topic=topic.id)
+            append(key, label, h, stamp)
             outcome.labeled += 1
     return outcome
 
@@ -394,7 +387,7 @@ def annotate_themes(
                 continue
             yield post.uri, post.created_at.isoformat(), request
 
-    return _label_in_order(items(), "theme_v1", provider, store, outcome)
+    return _label_in_order(items(), "theme_v1", provider, store, outcome, store.append)
 
 
 def annotate_topics(
@@ -412,7 +405,9 @@ def annotate_topics(
             request = topic_request(post, ThemeLabel(post.uri, theme), topics)
             yield post.uri, post.created_at.isoformat(), request
 
-    return _label_in_order(items(), "topic_v1", provider, store, AnnotationOutcome())
+    return _label_in_order(
+        items(), "topic_v1", provider, store, AnnotationOutcome(), store.append
+    )
 
 
 def annotate_stances(
@@ -440,4 +435,7 @@ def annotate_stances(
             stamp = max(p.created_at for p in sample).isoformat()
             yield user, stamp, stance_request(user, sample, topic)
 
-    return _label_in_order(items(), "stance_v1", provider, store, outcome, topic)
+    def append(user, label, h, stamp):
+        store.append(user, topic.stance_from_label(label), h, stamp, topic=topic.id)
+
+    return _label_in_order(items(), "stance_v1", provider, store, outcome, append)

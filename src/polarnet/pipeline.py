@@ -668,9 +668,11 @@ def _earlier_outputs(stage: str, config: PipelineConfig, run_dir: Path,
 
     ``verified`` maps each stage seen in this call to its verified output
     hashes (None without a manifest); a stage not seen yet is loaded and
-    verified here, once, against its own outputs and against its inputs:
-    the dumps for ingest, the verified outputs of the stages before it
-    otherwise.
+    verified here, once, against its own outputs and against its inputs.
+    Ingest's inputs must be the dumps its globs match now. Any other
+    stage's recorded inputs must each still be a verified output of a
+    stage before it with the same hash; an output of a stage that first
+    ran after it was not among its inputs and does not make it stale.
     """
     earlier = STAGES[: STAGES.index(stage)]
     changed = []
@@ -684,8 +686,12 @@ def _earlier_outputs(stage: str, config: PipelineConfig, run_dir: Path,
                 raise StageError(stage, f"{missing[0]!r} of stage '{prior}' is missing; "
                                         f"run stage '{prior}' again")
             changed += diff
-            current = _dump_hashes(config) if prior == "ingest" else _union(earlier[:i], verified)
-            if manifest.inputs != current:
+            if prior == "ingest":
+                stale = manifest.inputs != _dump_hashes(config)
+            else:
+                current = _union(earlier[:i], verified)
+                stale = any(current.get(rel) != h for rel, h in manifest.inputs.items())
+            if stale:
                 raise StageError(stage, f"stage '{prior}' ran on inputs that have changed "
                                         f"since; run stage '{prior}' again")
         verified[prior] = None if manifest is None else manifest.outputs

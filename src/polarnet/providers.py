@@ -26,18 +26,24 @@ class AnnotationRequest:
     label_set: tuple[str, ...]
 
 
+# provider calls per item while it returns labels outside the closed set
+RETRIES = 3
+
+
 class AnnotationProvider(Protocol):
     """Answers one request with one label.
 
     ``IN_FLIGHT`` is how many calls ``annotate_in_order`` keeps running at
-    once; a provider without it is called one request at a time.
+    once; 1 calls the provider one request at a time.
     """
+
+    IN_FLIGHT: int
 
     def annotate(self, request: AnnotationRequest) -> str: ...
 
 
 def annotate_with_retry(
-    provider: AnnotationProvider, request: AnnotationRequest, retries: int = 3
+    provider: AnnotationProvider, request: AnnotationRequest, retries: int = RETRIES
 ) -> str:
     """Call the provider, rejecting labels outside the closed set.
 
@@ -57,16 +63,16 @@ def annotate_with_retry(
 
 
 def _label_or_error(
-    provider: AnnotationProvider, request: AnnotationRequest, retries: int
+    provider: AnnotationProvider, request: AnnotationRequest
 ) -> Union[str, AnnotationError]:
     try:
-        return annotate_with_retry(provider, request, retries)
+        return annotate_with_retry(provider, request, RETRIES)
     except AnnotationError as exc:
         return exc
 
 
 def annotate_in_order(
-    provider: AnnotationProvider, requests: Iterable[AnnotationRequest], retries: int = 3
+    provider: AnnotationProvider, requests: Iterable[AnnotationRequest]
 ) -> Iterator[Union[str, AnnotationError]]:
     """Yield each request's label, or the AnnotationError it ended in, in input order.
 
@@ -76,10 +82,10 @@ def annotate_in_order(
     at the first failing request in input order, after the calls still
     running have returned, so a dead endpoint costs one round of calls.
     """
-    slots = getattr(provider, "IN_FLIGHT", 1)
+    slots = provider.IN_FLIGHT
     if slots <= 1:
         for request in requests:
-            yield _label_or_error(provider, request, retries)
+            yield _label_or_error(provider, request)
         return
     pending: deque = deque()
     pool = ThreadPoolExecutor(max_workers=slots, thread_name_prefix="annotate")
@@ -87,7 +93,7 @@ def annotate_in_order(
         for request in requests:
             if len(pending) == slots:
                 yield pending.popleft().result()
-            pending.append(pool.submit(_label_or_error, provider, request, retries))
+            pending.append(pool.submit(_label_or_error, provider, request))
         while pending:
             yield pending.popleft().result()
     finally:

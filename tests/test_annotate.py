@@ -56,6 +56,8 @@ def post(uri, text, author="did:plc:a"):
 class FlakyProvider:
     """Returns junk a fixed number of times, then a valid label."""
 
+    IN_FLIGHT = 1
+
     def __init__(self, junk_rounds, good_label):
         self.junk_rounds = junk_rounds
         self.good_label = good_label
@@ -314,10 +316,11 @@ class TestSampleUserPosts:
 class TestLabelStore:
     def test_round_trip_and_mapping(self, tmp_path):
         store = stance_store(tmp_path / "stances.jsonl")
-        store.append("did:plc:u1", "for", "abc123", "2025-01-05T00:00:00+00:00",
-                     topic="russia_ukraine")
-        store.append("did:plc:u2", "neutral", "abc123", "2025-01-05T00:00:00+00:00",
-                     topic="russia_ukraine")
+        with store.writing():
+            store.append("did:plc:u1", "for", "abc123", "2025-01-05T00:00:00+00:00",
+                         topic="russia_ukraine")
+            store.append("did:plc:u2", "neutral", "abc123", "2025-01-05T00:00:00+00:00",
+                         topic="russia_ukraine")
         assert store.mapping() == {
             ("did:plc:u1", "russia_ukraine"): "for",
             ("did:plc:u2", "russia_ukraine"): "neutral",
@@ -327,7 +330,7 @@ class TestLabelStore:
 
     def test_out_of_vocabulary_rejected(self, tmp_path):
         store = theme_store(tmp_path / "themes.jsonl")
-        with pytest.raises(ValueError):
+        with store.writing(), pytest.raises(ValueError):
             store.append("p1", "Sports", "h", "2025-01-05T00:00:00+00:00")
 
     def test_concurrent_appends_stay_line_atomic(self, tmp_path):
@@ -338,7 +341,7 @@ class TestLabelStore:
         def write(i):
             store.append(f"p{i:04d}", NON_POLITICAL, "h", "2025-01-05T00:00:00+00:00")
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
+        with store.writing(), ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(write, range(200)))
         records = store.load()
         assert len(records) == 200

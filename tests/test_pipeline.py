@@ -260,6 +260,33 @@ class TestFailFast:
         summary = json.loads((run_dir_for(config) / "report" / "summary.json").read_text())
         assert all(v == "ok" for v in summary["sections"].values()), summary
 
+    def test_stage_run_before_a_later_optional_stage_stays_current(
+        self, event_fixture, tmp_path
+    ):
+        # crosstopic ran before metrics had a manifest; metrics' outputs were
+        # not among its inputs, so a later partial run still accepts it
+        event_path, _ = event_fixture
+        config = fixture_config(event_path, tmp_path)
+        run_pipeline(config, stages=["ingest", "annotate", "graph", "groups", "crosstopic"])
+        run_pipeline(config, stages=["metrics"])
+        manifests = run_pipeline(config, stages=["report"])
+        assert [(m.stage, m.cached) for m in manifests] == [("report", False)]
+        summary = json.loads((run_dir_for(config) / "report" / "summary.json").read_text())
+        assert all(v == "ok" for v in summary["sections"].values()), summary
+
+    def test_moved_dumps_refuse_a_run_without_ingest(self, event_fixture, tmp_path):
+        event_path, _ = event_fixture
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        (dumps / "a.jsonl").write_bytes(event_path.read_bytes())
+        config = fixture_config(dumps / "*.jsonl", tmp_path / "runs")
+        run_pipeline(config, stages=["ingest", "annotate"])
+        (dumps / "a.jsonl").rename(tmp_path / "a.jsonl")
+        with pytest.raises(StageError) as exc:
+            run_pipeline(config, stages=["graph"])
+        assert exc.value.stage == "ingest"
+        assert "no input files match" in exc.value.reason
+
 
 class TestCacheDecisions:
     def test_report_reruns_after_partial_run(self, event_fixture, tmp_path):
