@@ -45,8 +45,8 @@ from .pipeline import (
 from .providers import provider_from_spec
 from .report import write_json
 
-# Stage subcommands run without a config: their JSON artifacts carry no
-# config hash, and every --seed is a master seed, derived per stage as in run.
+# Stage subcommands run without a config: every --seed is a master seed,
+# derived per stage as in run.
 
 
 # --- ingest ----------------------------------------------------------------
@@ -56,7 +56,7 @@ def cmd_ingest_stats(args):
     window = parse_window(args.window) if args.window else None
     stats, parse_errors, _, _ = read_events(input_files(args.input), window)
     out = Path(args.out)
-    write_activity_stats(out, stats, parse_errors, None)
+    write_activity_stats(out, stats, parse_errors)
     print(f"wrote activity stats for {stats.observed_days:.2f} observed days to {out}")
     return 0
 
@@ -169,15 +169,14 @@ def cmd_groups_structural(args):
     g = _topic_graph(args.graphs, args.topic)
     detection = DetectionConfig(max_groups=args.max_groups, runs=args.runs, iters=args.iters,
                                 collapse_multigraph=args.collapse_multigraph)
-    partition, _ = write_structural_groups(g, detection, args.seed, Path(args.out), None)
+    partition, _ = write_structural_groups(g, detection, args.seed, Path(args.out))
     print(f"{args.topic}: B={partition.b} dl={partition.dl:.3f}")
     return 0
 
 
 def cmd_groups_content(args):
     g = _topic_graph(args.graphs, args.topic)
-    grouping, _ = write_content_groups(g, load_stances(Path(args.stances)),
-                                       Path(args.out), None)
+    grouping, _ = write_content_groups(g, load_stances(Path(args.stances)), Path(args.out))
     print(f"{args.topic}: coverage {grouping.coverage:.3f} "
           f"({len(grouping.unlabeled)} unlabeled)")
     return 0
@@ -224,7 +223,8 @@ def cmd_metrics_report(args):
 def cmd_crosstopic(args):
     config = load_config(args.config)
     if args.threshold is not None:
-        # a changed threshold changes the config hash, so it gets its own run directory
+        # a changed threshold gets its own run directory; the stages that do
+        # not read it are copied from the default one
         config = replace(
             config, metrics=replace(config.metrics, hypergraph_threshold=args.threshold)
         )

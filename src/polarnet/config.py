@@ -1,8 +1,9 @@
 """Pipeline configuration.
 
 One JSON config drives a full run. Every stochastic stage draws its seed
-from the single master seed, and the hash of the semantic config fields
-is stamped into every artifact so reruns are verifiable.
+from the single master seed. The hash of the semantic config fields names
+the run directory and is stamped into ``report/summary.json``; each
+stage's cache key covers only the fields that stage reads.
 """
 
 from __future__ import annotations
@@ -208,10 +209,10 @@ def config_to_dict(config: PipelineConfig) -> dict:
     }
 
 
-def config_hash(config: PipelineConfig) -> str:
-    """Hash of the semantic fields; out_dir is excluded so identical runs
-    land on identical hashes wherever they are written."""
-    payload = {
+def semantic_fields(config: PipelineConfig) -> dict:
+    """The config as JSON-ready values, by top-level field, without out_dir:
+    where a run is written does not change what it computes."""
+    return {
         "inputs": sorted(config.inputs),
         "seed": config.seed,
         "window": [d.isoformat() for d in config.window] if config.window else None,
@@ -225,7 +226,12 @@ def config_hash(config: PipelineConfig) -> str:
         "annotate_on": config.annotate_on,
         "downtime": {d.isoformat(): f for d, f in sorted(config.downtime.items())},
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def config_hash(config: PipelineConfig) -> str:
+    """Hash of the semantic fields, so identical runs land on identical
+    hashes wherever they are written."""
+    blob = json.dumps(semantic_fields(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 

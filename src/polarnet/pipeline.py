@@ -1,17 +1,23 @@
 """Pipeline orchestration.
 
 Runs the stage sequence ingest -> annotate -> graph -> groups -> metrics
--> crosstopic -> report inside a run directory keyed by the config hash.
+-> crosstopic -> report inside a run directory named by the config hash.
 Only the runner knows what a stage may read: ingest reads the files that
 the config's input globs match now, and every later stage may read the
 outputs of every earlier stage that has a manifest. A stage's manifest
-records the hashes of those inputs and of its own outputs. A stage is
-cached when both are unchanged, and refuses to run when an earlier stage's
-output changed or vanished behind that stage's manifest, or when that
-earlier stage ran on inputs that have changed since. Each manifest is
-loaded, and its outputs and inputs verified, once per ``run_pipeline``
-call. The ``polarnet`` stage subcommands call the same building blocks as
-the stages.
+records the hashes of those inputs and of its own outputs, and the
+stage's key: the hash of the config fields it reads (``_READS``), the
+tool version and its input hashes. A stage is cached when its manifest
+has the current key and its outputs verify. On a miss the runner copies
+the outputs of the first sibling run directory under the same root whose
+manifest for the stage has that key and whose outputs verify (a
+constructive trace, in the terms of Mokhov, Mitchell & Peyton Jones,
+"Build systems a la carte", ICFP 2018); only without one does the stage
+run. A stage refuses to run when an earlier stage's output changed or
+vanished behind that stage's manifest, or when that earlier stage ran on
+inputs that have changed since. Each manifest is loaded, and its outputs
+and inputs verified, once per ``run_pipeline`` call. The ``polarnet``
+stage subcommands call the same building blocks as the stages.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import glob
 import hashlib
 import json
 import logging
+import shutil
 import time
 from dataclasses import asdict, dataclass
 from datetime import timedelta
@@ -43,6 +50,7 @@ from .config import (
     SampleConfig,
     config_hash,
     config_to_dict,
+    semantic_fields,
     stage_seed,
 )
 from .crosstopic import alignment_matrix, jaccard_matrix, joint_stance_table, topic_hypergraph
@@ -81,7 +89,7 @@ log = logging.getLogger("polarnet")
 @dataclass
 class StageManifest:
     stage: str
-    config_hash: str
+    key: Optional[str]
     tool_version: str
     inputs: dict[str, str]
     outputs: dict[str, str]
@@ -105,8 +113,6 @@ def run_dir_for(config: PipelineConfig, run_root: Optional[Path] = None) -> Path
 # --- stage building blocks -------------------------------------------------
 # Path-level helpers shared by the stages below and by the ``polarnet``
 # stage subcommands, so each artifact has one reader and one writer.
-# ``chash`` is the config hash stamped into JSON artifacts; subcommands
-# run without a config and stamp None.
 
 
 def input_files(patterns: list[str]) -> list[Path]:
@@ -146,13 +152,12 @@ def read_events(paths: list[Path], window=None, downtime=None):
     return stats, parse_errors, posts, reposts
 
 
-def write_activity_stats(stats_dir: Path, stats, parse_errors: int, chash) -> list[Path]:
+def write_activity_stats(stats_dir: Path, stats, parse_errors: int) -> list[Path]:
     json_path = stats_dir / "activity_stats.json"
     csv_path = stats_dir / "activity_daily.csv"
     write_json(
         json_path,
         {
-            "config_hash": chash,
             "observed_days": stats.observed_days,
             "window": [d.isoformat() for d in stats.window] if stats.window else None,
             "non_create_events": stats.non_create_events,
@@ -301,11 +306,11 @@ def read_assignment(path: Path, value=str) -> dict:
     return assignment
 
 
-def write_structural_groups(g, detection: DetectionConfig, master_seed: int,
-                            out_dir: Path, chash):
+def write_structural_groups(g, detection: DetectionConfig, master_seed: int, out_dir: Path):
     """Detect one topic's structural groups and write ``partition.tsv``/``.json``.
 
     The detection seed is derived from ``master_seed`` and the topic id.
+    ``dl - dl_one_block`` is the evidence for structure, in nats.
     """
     seed = stage_seed(master_seed, f"groups.{g.topic}")
     partition, runs = detect_structural_groups_with_diagnostics(
@@ -320,9 +325,9 @@ def write_structural_groups(g, detection: DetectionConfig, master_seed: int,
     write_json(
         out_dir / "partition.json",
         {
-            "config_hash": chash,
             "topic": g.topic,
             "dl": partition.dl,
+            "dl_one_block": partition.dl_one_block,
             "b": partition.b,
             "seed": seed,
             "params": vars(detection),
@@ -342,13 +347,12 @@ def load_partition(group_dir: Path) -> Partition:
     return Partition(assignment=assignment, b=meta["b"], dl=meta["dl"])
 
 
-def write_content_groups(g, stances: dict, out_dir: Path, chash):
+def write_content_groups(g, stances: dict, out_dir: Path):
     grouping = content_groups(stances, g)
     _write_assignment(out_dir / "content.tsv", grouping.assignment)
     write_json(
         out_dir / "content.json",
         {
-            "config_hash": chash,
             "topic": g.topic,
             "coverage": grouping.coverage,
             "unlabeled": len(grouping.unlabeled),
@@ -366,7 +370,7 @@ def stage_ingest(config: PipelineConfig, run_dir: Path):
     inputs = input_files(config.inputs)
     stats, parse_errors, posts, reposts = read_events(inputs, config.window, config.downtime)
     corpus_dir = run_dir / "corpus"
-    outputs = write_activity_stats(run_dir / "stats", stats, parse_errors, config_hash(config))
+    outputs = write_activity_stats(run_dir / "stats", stats, parse_errors)
     filtered = filter_posts(posts, config.filters)
     write_posts(corpus_dir / "filtered.jsonl", filtered)
     write_reposts(corpus_dir / "reposts.jsonl", reposts)
@@ -416,7 +420,7 @@ def stage_graph(config: PipelineConfig, run_dir: Path):
         )
         outputs += written
     stats_path = graphs_dir / "stats.json"
-    write_json(stats_path, {"config_hash": config_hash(config), "topics": stats_payload})
+    write_json(stats_path, {"topics": stats_payload})
     outputs.append(stats_path)
     return outputs
 
@@ -453,14 +457,13 @@ def _write_matrix(path: Path, m) -> None:
 
 
 def stage_groups(config: PipelineConfig, run_dir: Path):
-    chash = config_hash(config)
     outputs = []
     for topic_id in _graph_topics(run_dir):
         graph_dir, group_dir, stance_path = _topic_paths(config, run_dir, topic_id)
         g = load_topic_graph(graph_dir, topic_id, config.window)
-        _, written = write_structural_groups(g, config.detection, config.seed, group_dir, chash)
+        _, written = write_structural_groups(g, config.detection, config.seed, group_dir)
         outputs += written
-        _, written = write_content_groups(g, load_stances(stance_path), group_dir, chash)
+        _, written = write_content_groups(g, load_stances(stance_path), group_dir)
         outputs += written
     return outputs
 
@@ -495,13 +498,7 @@ def stage_metrics(config: PipelineConfig, run_dir: Path):
         )
         outputs.append(pw_path)
 
-    write_json(
-        metrics_dir / "stance_report.json",
-        {
-            "config_hash": config_hash(config),
-            "rows": [asdict(r) for r in stance_rows],
-        },
-    )
+    write_json(metrics_dir / "stance_report.json", {"rows": [asdict(r) for r in stance_rows]})
     write_csv(
         metrics_dir / "stance_report.csv",
         report_mod.TABLE4_HEADER,
@@ -510,7 +507,6 @@ def stage_metrics(config: PipelineConfig, run_dir: Path):
     write_json(
         metrics_dir / "structural_report.json",
         {
-            "config_hash": config_hash(config),
             "rows": [
                 {
                     "topic": r.topic,
@@ -565,7 +561,6 @@ def stage_crosstopic(config: PipelineConfig, run_dir: Path):
     write_json(
         cross_dir / "hyperedges.json",
         {
-            "config_hash": config_hash(config),
             "threshold": hg.threshold,
             "inclusive": hg.inclusive,
             "hyperedges": [list(e) for e in hg.hyperedges],
@@ -625,6 +620,19 @@ _NEEDS: dict[str, tuple[str, ...]] = {
     "report": ("ingest",),
 }
 
+# stage -> the top-level config fields (of ``semantic_fields``) it reads;
+# None is the whole config. A field read but not needed only costs a cache
+# hit; a field needed but not listed would reuse a stale stage.
+_READS: dict[str, Optional[tuple[str, ...]]] = {
+    "ingest": ("inputs", "window", "downtime", "filters", "sample", "seed"),
+    "annotate": ("annotate_on", "provider", "topics", "stance_sample_k", "seed"),
+    "graph": ("topics", "window"),
+    "groups": ("detection", "seed", "window"),
+    "metrics": ("metrics", "topics", "window"),
+    "crosstopic": ("metrics", "topics", "window"),
+    "report": None,  # summary.json stamps the whole config's hash
+}
+
 
 def _manifest_path(run_dir: Path, stage: str) -> Path:
     return run_dir / "manifests" / f"{stage}.json"
@@ -635,7 +643,8 @@ def _load_manifest(run_dir: Path, stage: str) -> Optional[StageManifest]:
     if not path.exists():
         return None
     data = json.loads(path.read_text(encoding="utf-8"))
-    return StageManifest(**data)
+    data.pop("config_hash", None)  # written before stage keys: a key of None never hits
+    return StageManifest(**{"key": None, **data})
 
 
 def _stale_outputs(manifest: StageManifest, run_dir: Path) -> tuple[list[str], list[str]]:
@@ -703,6 +712,73 @@ def _earlier_outputs(stage: str, config: PipelineConfig, run_dir: Path,
     return _union(earlier, verified)
 
 
+def config_json(config: PipelineConfig) -> dict[str, str]:
+    """Each semantic config field as canonical JSON, for ``stage_key``."""
+    return {f: json.dumps(v, sort_keys=True) for f, v in semantic_fields(config).items()}
+
+
+def stage_key(stage: str, fields: dict[str, str], inputs: dict[str, str]) -> str:
+    """What a stage's outputs are a function of: the config fields it reads
+    (from ``config_json``), the tool version and the hashes of its inputs."""
+    parts = [stage, __version__] + [f"{f}={fields[f]}" for f in _READS[stage] or sorted(fields)]
+    for rel, digest in sorted(inputs.items()):
+        parts += (rel, digest)
+    # joined by NUL, which no path, JSON text or digest contains; a cached
+    # rerun computes seven keys, so this avoids a JSON encoding per stage
+    return hashlib.sha256("\0".join(parts).encode("utf-8")).hexdigest()
+
+
+def _reuse(stage: str, key: str, run_dir: Path) -> Optional[StageManifest]:
+    """Copy a stage's outputs from a sibling run directory instead of running it.
+
+    Siblings are tried in sorted order; the first whose manifest has ``key``
+    and whose outputs all verify by hash is copied, together with that
+    manifest. Copies, not links: the writers truncate files in place, so a
+    later run in one directory would rewrite the other's bytes through a link.
+    """
+    for sibling in sorted(run_dir.parent.iterdir()):
+        if sibling == run_dir or not sibling.is_dir():
+            continue
+        try:
+            manifest = _load_manifest(sibling, stage)
+        except (OSError, ValueError, TypeError):
+            continue  # not a run directory this version can read
+        if manifest is None or manifest.key != key or any(_stale_outputs(manifest, sibling)):
+            continue
+        for rel in manifest.outputs:
+            (run_dir / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(sibling / rel, run_dir / rel)
+        write_json(_manifest_path(run_dir, stage), asdict(manifest))
+        log.info("stage %s: reused from %s", stage, sibling.name)
+        manifest.cached = True
+        return manifest
+    return None
+
+
+def _run_stage(stage: str, config: PipelineConfig, run_dir: Path, key: str,
+               inputs: dict[str, str]) -> StageManifest:
+    started = time.perf_counter()
+    try:
+        outputs = _STAGE_FNS[stage](config, run_dir)
+        hashes = {str(p.relative_to(run_dir)): file_hash(p) for p in outputs}
+    except (StageError, ConfigError):
+        # a configuration error keeps its own type (and CLI exit code)
+        raise
+    except (OSError, KeyError, ValueError, PolarnetError) as exc:
+        raise StageError(stage, f"{type(exc).__name__}: {exc}") from exc
+    manifest = StageManifest(
+        stage=stage,
+        key=key,
+        tool_version=__version__,
+        inputs=inputs,
+        outputs=hashes,
+        wall_time_s=round(time.perf_counter() - started, 6),
+    )
+    write_json(_manifest_path(run_dir, stage), asdict(manifest))
+    log.info("stage %s: done in %.2fs", stage, manifest.wall_time_s)
+    return manifest
+
+
 def run_pipeline(
     config: PipelineConfig,
     stages: Optional[list[str]] = None,
@@ -710,10 +786,11 @@ def run_pipeline(
 ) -> list[StageManifest]:
     """Execute the requested stages in pipeline order.
 
-    A stage is cached when what it may read and what it wrote are
-    unchanged. A requested stage whose upstream manifests are missing
-    fails fast, naming the stage that must run first; one whose upstream
-    outputs changed on disk is refused with a hash diff.
+    A stage is cached when its manifest has the stage's current key and
+    its outputs verify. Otherwise its outputs are copied from a sibling run
+    directory with that key, or it runs. A requested stage whose upstream
+    manifests are missing fails fast, naming the stage that must run first;
+    one whose upstream outputs changed on disk is refused with a hash diff.
     """
     selected = list(STAGES) if stages is None else [s for s in STAGES if s in stages]
     if stages is not None:
@@ -721,8 +798,8 @@ def run_pipeline(
         if unknown:
             raise StageError(sorted(unknown)[0], "unknown stage")
     run_dir = run_dir_for(config, run_root)
-    chash = config_hash(config)
     write_json(run_dir / "config.json", config_to_dict(config))
+    fields = config_json(config)
 
     verified: dict[str, Optional[dict[str, str]]] = {}
     manifests = []
@@ -731,37 +808,18 @@ def run_pipeline(
             inputs = _dump_hashes(config)
         else:
             inputs = _earlier_outputs(stage, config, run_dir, verified)
+        key = stage_key(stage, fields, inputs)
         manifest = _load_manifest(run_dir, stage)
         if (
             manifest is not None
-            and manifest.config_hash == chash
-            and manifest.inputs == inputs
+            and manifest.key == key
             and not any(_stale_outputs(manifest, run_dir))
         ):
             manifest.cached = True
-            verified[stage] = manifest.outputs
             log.info("stage %s: cached", stage)
-            manifests.append(manifest)
-            continue
-        started = time.perf_counter()
-        try:
-            outputs = _STAGE_FNS[stage](config, run_dir)
-            hashes = {str(p.relative_to(run_dir)): file_hash(p) for p in outputs}
-        except (StageError, ConfigError):
-            # a configuration error keeps its own type (and CLI exit code)
-            raise
-        except (OSError, KeyError, ValueError, PolarnetError) as exc:
-            raise StageError(stage, f"{type(exc).__name__}: {exc}") from exc
-        manifest = StageManifest(
-            stage=stage,
-            config_hash=chash,
-            tool_version=__version__,
-            inputs=inputs,
-            outputs=hashes,
-            wall_time_s=round(time.perf_counter() - started, 6),
-        )
-        write_json(_manifest_path(run_dir, stage), asdict(manifest))
+        else:
+            manifest = (_reuse(stage, key, run_dir)
+                        or _run_stage(stage, config, run_dir, key, inputs))
         verified[stage] = manifest.outputs
-        log.info("stage %s: done in %.2fs", stage, manifest.wall_time_s)
         manifests.append(manifest)
     return manifests

@@ -60,8 +60,6 @@ class TestIngestCommands:
         cli = json.loads((tmp_path / "cli" / "activity_stats.json").read_text())
         ref = json.loads((run_dir / "stats" / "activity_stats.json").read_text())
         assert cli["window"] == ["2025-01-01", "2025-03-31"]
-        assert cli.pop("config_hash") is None
-        ref.pop("config_hash")
         assert cli == ref
 
     def test_stats_counts_parse_errors(self, workspace, tmp_path, capsys):
@@ -230,8 +228,15 @@ class TestRunAndReport:
         assert main(["crosstopic", "hypergraph", "--config", str(config_path),
                      "--threshold", "0.3"]) == 0
         assert '"threshold": 0.3' in capsys.readouterr().out
-        default = run_dir_for(config_from_dict(raw)) / "crosstopic" / "hyperedges.json"
-        assert json.loads(default.read_text())["threshold"] == 0.2
+        default = run_dir_for(config_from_dict(raw))
+        assert json.loads((default / "crosstopic" / "hyperedges.json").read_text()
+                          )["threshold"] == 0.2
+        # the stages that do not read the threshold were copied, manifest and all
+        changed = run_dir_for(config_from_dict(dict(raw, metrics={"hypergraph_threshold": 0.3})))
+        for stage, copied in (("groups", True), ("metrics", False), ("crosstopic", False)):
+            default_m, changed_m = ((d / "manifests" / f"{stage}.json").read_text()
+                                    for d in (default, changed))
+            assert (default_m == changed_m) == copied, stage
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
@@ -314,6 +319,4 @@ def test_stage_commands_match_run(event_fixture, tmp_path, capsys):
     assert differing == []
     stats = [json.loads((d / "stats" / "activity_stats.json").read_text())
              for d in (chain, run_dir)]
-    for payload in stats:
-        payload.pop("config_hash")
     assert stats[0] == stats[1]

@@ -2,6 +2,7 @@ import copy
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -296,6 +297,88 @@ class TestSearchStateInvariants:
             checked.clear()
             _, records = detect_structural_groups_with_diagnostics(g, runs=4, iters=20, seed=seed)
             assert len(checked) == sum(r.sweeps for r in records) > 0
+
+
+def tie_state(n, edges, assignment, max_groups):
+    """A search state on nodes n00, n01, ... with undirected multiplicities."""
+    g = net([(f"n{u:02d}", f"n{v:02d}", c) for (u, v), c in edges.items()])
+    assert len(g.nodes) == n
+    state = search_state(g, max_groups)
+    state.assignment = list(assignment)
+    state._rebuild()
+    return state
+
+
+def exact_weight(state):
+    """exp(-DL) * N! * N as an exact rational: two partitions of one graph
+    have equal description lengths iff these are equal."""
+    m, m_in, s2 = state.m, state.m_in, state.s2
+    weight = Fraction(1)
+    if m_in:
+        weight *= Fraction(2 * m_in, s2) ** m_in
+    if m - m_in:
+        weight *= Fraction(2 * (m - m_in), 4 * m * m - s2) ** (m - m_in)
+    for size in state.sizes:
+        weight *= math.factorial(size)
+    return weight
+
+
+# Nodes 0-3 and 4-7 mirror each other; 8-10 are fixed by the mirror.
+MERGE_TIE_EDGES = {
+    (1, 9): 2, (5, 9): 2, (2, 8): 1, (6, 8): 1, (2, 10): 3, (6, 10): 3, (3, 8): 2,
+    (7, 8): 2, (1, 4): 2, (0, 5): 2, (3, 5): 1, (1, 7): 1, (1, 5): 6,
+}
+# Nodes 0-4 and 5-9 mirror each other.
+SPLIT_TIE_EDGES = {
+    (1, 4): 3, (6, 9): 3, (3, 4): 1, (8, 9): 1, (2, 3): 2, (7, 8): 2, (1, 3): 2,
+    (6, 8): 2, (3, 5): 3, (0, 8): 3,
+}
+
+
+class TestNearTies:
+    """Decisions between options whose description lengths are equal in
+    exact arithmetic but whose floats differ in the last bit. ``_EPS`` keeps
+    the first option; without it the search follows the rounding."""
+
+    def test_sweep_keeps_a_node_whose_move_only_rounds_lower(self):
+        # one block holding a 3-edge star and 4 isolated nodes: moving the
+        # centre alone to the empty block gains exactly log 8 in fit and
+        # costs exactly log 8 in block sizes
+        g = net([("c", "l1"), ("c", "l2"), ("c", "l3")],
+                nodes=["c", "l1", "l2", "l3", "z1", "z2", "z3", "z4"])
+        state = search_state(g, 2)
+        assert state.nodes[0] == "c" and state.assignment == [0] * 8
+        moved = search_state(g, 2)
+        moved.assignment = [1] + [0] * 7
+        moved._rebuild()
+        assert exact_weight(moved) == exact_weight(state)
+        assert state.deltas(0, state.block_weights(0), range(2))[1] < 0.0
+        assert state.sweep([0]) == 0
+        assert state.assignment == [0] * 8
+
+    def test_merge_keeps_the_first_of_two_equal_merges(self):
+        assignment = [0, 0, 1, 0, 3, 3, 4, 3, 2, 2, 2]
+        state = tie_state(11, MERGE_TIE_EDGES, assignment, 5)
+        # merging blocks 3 and 4 mirrors merging 0 and 1; its block-size
+        # terms are summed in another order and round lower
+        first = tie_state(11, MERGE_TIE_EDGES, [0, 0, 0, 0, 3, 3, 4, 3, 2, 2, 2], 5)
+        mirror = tie_state(11, MERGE_TIE_EDGES, [0, 0, 1, 0, 3, 3, 3, 3, 2, 2, 2], 5)
+        assert exact_weight(first) == exact_weight(mirror)
+        assert mirror.dl() < first.dl() < state.dl()
+        assert state.merge_pass()
+        assert state.assignment == [0, 0, 0, 0, 3, 3, 0, 3, 2, 2, 2]
+
+    def test_split_rejects_a_relabeling_that_rounds_lower(self):
+        assignment = [1, 2, 0, 2, 1, 2, 1, 0, 0, 0]
+        state = tie_state(10, SPLIT_TIE_EDGES, assignment, 4)
+        # with this seed the bisection of block 0 and its mini-sweeps end with
+        # all of block 0 in the empty block 3: the same partition, with its
+        # block-size terms summed in another order
+        relabeled = tie_state(10, SPLIT_TIE_EDGES, [1, 2, 3, 2, 1, 2, 1, 3, 3, 3], 4)
+        assert exact_weight(relabeled) == exact_weight(state)
+        assert relabeled.dl() < state.dl()
+        assert not state.split_pass(random.Random(147))
+        assert state.assignment == assignment
 
 
 # Outputs recorded before the search state became incremental. Any change to

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import logging
+import shutil
 import socket
 from collections import Counter
 from dataclasses import replace
@@ -6,12 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_config
+from conftest import FIXTURE_TOPICS, fixture_config
 from polarnet.config import (
     PROVIDER_URL_ENV,
     STAGES,
+    PipelineConfig,
     ProviderConfig,
+    config_from_dict,
     config_hash,
+    config_to_dict,
     load_config,
     stage_seed,
 )
@@ -76,14 +82,23 @@ class TestFullRun:
         ]:
             assert (run_dir / rel).exists(), rel
 
-    def test_config_hash_stamped_in_artifacts(self, completed_run):
+    def test_only_the_report_stamps_the_config_hash(self, completed_run):
+        # upstream artifacts depend only on what their stage reads, so a
+        # sibling run directory can reuse them; the whole config is recorded
+        # in config.json, the run directory's name and the summary
         config, run_dir, _, _ = completed_run
-        chash = config_hash(config)
-        for rel in ["stats/activity_stats.json", "graphs/stats.json",
-                    "metrics/stance_report.json", "crosstopic/hyperedges.json",
-                    "report/summary.json"]:
-            payload = json.loads((run_dir / rel).read_text())
-            assert payload["config_hash"] == chash, rel
+        summary = json.loads((run_dir / "report" / "summary.json").read_text())
+        assert summary["config_hash"] == config_hash(config) == run_dir.name
+        unstamped = ["stats/activity_stats.json", "graphs/stats.json",
+                     "metrics/stance_report.json", "metrics/structural_report.json",
+                     "crosstopic/hyperedges.json"]
+        unstamped += [str(p.relative_to(run_dir)) for p in run_dir.glob("groups/*/*.json")]
+        assert len(unstamped) == 5 + 2 * 4
+        for rel in unstamped:
+            assert "config_hash" not in json.loads((run_dir / rel).read_text()), rel
+        manifest = json.loads((run_dir / "manifests" / "report.json").read_text())
+        assert manifest["key"] == pipeline.stage_key("report", pipeline.config_json(config),
+                                                     manifest["inputs"])
 
     def test_partition_diagnostics_recorded(self, completed_run):
         config, run_dir, _, _ = completed_run
@@ -91,6 +106,25 @@ class TestFullRun:
         assert len(meta["runs"]) == config.detection.runs
         assert meta["dl"] <= min(r["dl"] for r in meta["runs"]) + 1e-9
         assert meta["seed"] == stage_seed(config.seed, "groups.russia_ukraine")
+
+    def test_one_block_dl_recorded_and_not_below_the_found_dl(self, completed_run):
+        from polarnet.groups import description_length
+
+        config, run_dir, _, _ = completed_run
+        evidence = {}
+        for path in sorted(run_dir.glob("groups/*/partition.json")):
+            meta = json.loads(path.read_text())
+            topic = meta["topic"]
+            [graph_dir] = (run_dir / "graphs" / topic).iterdir()
+            g = pipeline.load_topic_graph(graph_dir, topic)
+            one_block = description_length(g, {n: 0 for n in g.nodes},
+                                           config.detection.collapse_multigraph)
+            assert meta["dl_one_block"] == pytest.approx(one_block, abs=1e-9)
+            assert meta["dl"] <= meta["dl_one_block"]
+            evidence[topic] = meta["dl_one_block"] - meta["dl"]
+        assert sorted(evidence) == sorted(t["id"] for t in FIXTURE_TOPICS)
+        assert evidence["russia_ukraine"] > 0 and evidence["trump_administration"] > 0
+        assert evidence["tiktok_ban"] == 0
 
     def test_polarized_topics_detect_structure(self, completed_run):
         _, run_dir, _, _ = completed_run
@@ -499,3 +533,302 @@ class TestPartialReport:
         assert summary["sections"]["crosstopic"] == "missing"
         assert (run_dir / "report" / "table1_activity.csv").exists()
         assert not (run_dir / "report" / "table4_stance.csv").exists()
+
+
+def tree_bytes(run_dir: Path) -> dict:
+    return {rel: (run_dir / rel).read_bytes() for rel in walk_files(run_dir)}
+
+
+def ran(manifests) -> list[str]:
+    return [m.stage for m in manifests if not m.cached]
+
+
+@pytest.fixture(scope="module")
+def slice_bases(event_fixture, tmp_path_factory):
+    """Finished runs on the first half of the fixture dump with a small
+    detection budget, one on the whole corpus and one on a sampled half,
+    so each stage-key case is fast."""
+    event_path, _ = event_fixture
+    work = tmp_path_factory.mktemp("slice")
+    lines = event_path.read_text(encoding="utf-8").splitlines()[:5000]
+    dump = work / "events.jsonl"
+    dump.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (work / "copy").mkdir()
+    (work / "copy" / "events.jsonl").write_bytes(dump.read_bytes())
+    raw = config_to_dict(fixture_config(dump, work / "runs"))
+    raw["detection"] = dict(raw["detection"], runs=3, iters=10)
+    raw["stance_sample_k"] = 1000  # every user's whole corpus: stances do not read the seed
+    bases = {"whole": config_from_dict(raw)}
+    raw["sample"] = dict(raw["sample"], fraction=0.5)
+    bases["sampled"] = config_from_dict(raw)
+    for config in bases.values():
+        run_pipeline(config)
+    return work, bases
+
+
+def in_root_of(base: PipelineConfig, root: Path) -> Path:
+    """A run root holding a copy of ``base``'s finished run directory."""
+    shutil.copytree(run_dir_for(base), root / run_dir_for(base).name)
+    return root
+
+
+class TestStageKeys:
+    # Each top-level config field, the base run, a change to the field, and
+    # the stages that must run again in that base run's root; every other
+    # stage is copied from the base run. Written out by hand, not derived
+    # from pipeline._READS. A stage whose key changed but whose outputs came
+    # out byte-identical lets later stages be copied ("inputs", "seed",
+    # "provider", "topics"). Every later stage may read every earlier
+    # output, so any change to the corpus, the sample or the activity stats
+    # re-runs everything after ingest.
+    CASES = {
+        "inputs": ("whole", lambda w: [str(w / "copy" / "events.jsonl")], ["ingest", "report"]),
+        "out_dir": ("whole", lambda w: str(w / "elsewhere"), []),
+        "seed": ("whole", lambda w: 43,
+                 ["ingest", "annotate", "groups", "metrics", "crosstopic", "report"]),
+        "window": ("whole", lambda w: {"start": "2025-01-01", "end": "2025-02-01"},
+                   list(STAGES)),
+        "filters": ("whole", lambda w: {"min_reposts": 2, "min_chars": 5, "lang": "en"},
+                    list(STAGES)),
+        "sample": ("whole", lambda w: {"fraction": 0.5, "stratify_by_day": False},
+                   list(STAGES)),
+        "provider": ("whole", lambda w: {"kind": "mock", "url": "http://127.0.0.1:9/unused"},
+                     ["annotate", "report"]),
+        "topics": ("whole", lambda w: [dict(t, name=t["name"] + "!") for t in FIXTURE_TOPICS],
+                   ["annotate", "graph", "metrics", "crosstopic", "report"]),
+        "detection": ("whole", lambda w: {"max_groups": 5, "runs": 4, "iters": 10,
+                                          "collapse_multigraph": False},
+                      ["groups", "metrics", "crosstopic", "report"]),
+        "metrics": ("whole", lambda w: {"include_neutral": False,
+                                        "simpson_include_neutral": False,
+                                        "hypergraph_threshold": 0.5,
+                                        "hypergraph_inclusive": False,
+                                        "nmi_normalization": "mean"},
+                    ["metrics", "crosstopic", "report"]),
+        "stance_sample_k": ("whole", lambda w: 3, list(STAGES[1:])),
+        "annotate_on": ("sampled", lambda w: "sampled", list(STAGES[1:])),
+        "downtime": ("whole", lambda w: [], list(STAGES)),
+    }
+
+    def test_cases_cover_every_config_field(self, slice_bases):
+        _, bases = slice_bases
+        assert sorted(self.CASES) == sorted(config_to_dict(bases["whole"]))
+
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_change_reruns_exactly_the_stages_that_read_it(self, slice_bases, field, tmp_path):
+        work, bases = slice_bases
+        base_name, change, expected = self.CASES[field]
+        base = bases[base_name]
+        raw = config_to_dict(base)
+        assert raw[field] != change(work)
+        raw[field] = change(work)
+        changed = config_from_dict(raw)
+
+        root = in_root_of(base, tmp_path / "root")
+        manifests = run_pipeline(changed, run_root=root)
+        assert ran(manifests) == expected
+
+        run_pipeline(changed, run_root=tmp_path / "cold")
+        assert tree_bytes(run_dir_for(changed, root)) == tree_bytes(
+            run_dir_for(changed, tmp_path / "cold"))
+
+    def test_reuse_is_logged_and_the_copy_is_then_cached(self, slice_bases, tmp_path, caplog):
+        base = slice_bases[1]["whole"]
+        root = in_root_of(base, tmp_path / "root")
+        changed = replace(base, metrics=replace(base.metrics, hypergraph_threshold=0.5))
+        with caplog.at_level(logging.INFO, logger="polarnet"):
+            first = run_pipeline(changed, run_root=root)
+        assert [m.cached for m in first] == [True] * 4 + [False] * 3
+        for stage in STAGES[:4]:
+            assert f"stage {stage}: reused from {run_dir_for(base).name}" in caplog.messages
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="polarnet"):
+            again = run_pipeline(changed, run_root=root)
+        assert all(m.cached for m in again)
+        assert caplog.messages == [f"stage {stage}: cached" for stage in STAGES]
+
+    def test_sibling_with_a_tampered_output_is_not_copied(self, slice_bases, tmp_path):
+        base = slice_bases[1]["whole"]
+        root = in_root_of(base, tmp_path / "root")
+        tampered = run_dir_for(base, root) / "corpus" / "reposts.jsonl"
+        tampered.write_bytes(tampered.read_bytes()[:-1])
+        changed = replace(base, metrics=replace(base.metrics, hypergraph_threshold=0.5))
+        manifests = run_pipeline(changed, run_root=root)
+        # ingest runs; annotate's inputs are then the untampered bytes, which
+        # the sibling's annotate manifest recorded, so it is copied again
+        assert ran(manifests) == ["ingest", "metrics", "crosstopic", "report"]
+        assert tampered.read_bytes() != (run_dir_for(changed, root) / "corpus"
+                                         / "reposts.jsonl").read_bytes()
+        run_pipeline(changed, run_root=tmp_path / "cold")
+        assert tree_bytes(run_dir_for(changed, root)) == tree_bytes(
+            run_dir_for(changed, tmp_path / "cold"))
+
+
+# sha256 of every file outside manifests/ for a cold run of the c8 fixture
+# config, with paths relative to the working directory so that config.json
+# is the same everywhere. A change that alters an output on purpose updates
+# this table and says in CHANGES.md which file changed and why.
+GOLDEN = {
+    "config.json":
+        "de1d5c66024a3d2bc347e4297890574c0a19e0d197e2cf043e8500b5de403022",
+    "corpus/filtered.jsonl":
+        "da8932007071f56905d0cdfb4b8b89bf448f7d34f519cf6b7d05bec71617d576",
+    "corpus/reposts.jsonl":
+        "6060964c7c2a4d77d93b8170ee214215b979f3ba7bc1a71e1db1c265ede2657a",
+    "crosstopic/alignment_content.csv":
+        "eddc86a0b8b9fbaa79932ffea6973e42cb338feaf374017ef10ce9ca12ed9506",
+    "crosstopic/alignment_structural.csv":
+        "78b1627ec3c3e124885c8c4a0111506f7e23b9585cac55e42e167d86ec29a7f6",
+    "crosstopic/hyperedges.json":
+        "6e8662b13c7bc6720d26950a1269a5a667db8555f44d296bce9a0a0cfc03cd4e",
+    "crosstopic/joint_ai__russia_ukraine.csv":
+        "eee4ed4f8b28ac71c6985a9d71640c509e2411ed96db7b1ea9401e3d5761c641",
+    "crosstopic/joint_ai__tiktok_ban.csv":
+        "2027b8526f140fc05652c6c1a06aa5dadd652f9960adc5f14f6fe0899a4e27b7",
+    "crosstopic/joint_ai__trump_administration.csv":
+        "eee4ed4f8b28ac71c6985a9d71640c509e2411ed96db7b1ea9401e3d5761c641",
+    "crosstopic/joint_russia_ukraine__tiktok_ban.csv":
+        "eee4ed4f8b28ac71c6985a9d71640c509e2411ed96db7b1ea9401e3d5761c641",
+    "crosstopic/joint_russia_ukraine__trump_administration.csv":
+        "edab4ef21fd3dcd02a0a94e20b81a7707645810a244a98679fe89dd6454a81d2",
+    "crosstopic/joint_tiktok_ban__trump_administration.csv":
+        "3deb2c3fe6be81965f946b0e077906ddf4da99bb52a4a741c20bf79431c458fe",
+    "crosstopic/overlap.csv":
+        "7d2c4f706aedd97e1caf25921424966a2c2f53702cc15649e957f88429b57b46",
+    "graphs/ai/2025-01_2025-03/nodes.tsv":
+        "2f0c8ab2d28739cd8cf790533d4d000ebe3dad44fc5bf6000d1c2b242ab19db7",
+    "graphs/ai/2025-01_2025-03/reposts.csv":
+        "3f6c2d444f2ec6fbb1c6e13fcdc52252a01f3158a2b943889d1b93c5bfff4006",
+    "graphs/ai/2025-01_2025-03/reposts.graph":
+        "125f37614c7f48fbd16443cfd88714f53d8d6e586fcece3a3cf7d1b6fedcdcb1",
+    "graphs/russia_ukraine/2025-01_2025-03/nodes.tsv":
+        "31db7180619b985c5e68f33cc0d0a122f4ef8d3a12c24ee530fe43e35ed88598",
+    "graphs/russia_ukraine/2025-01_2025-03/reposts.csv":
+        "e41253ab25a4cf3f5347499c2a1dc7bbf98f737453004db8e84d44f290de2a82",
+    "graphs/russia_ukraine/2025-01_2025-03/reposts.graph":
+        "e35d010449f10c84a53e6dbb669da17654cdc50aebab7815153de1d545994209",
+    "graphs/stats.json":
+        "577e7f7503e7539dc46dc4ff1730385c7d5fc38026921811cd6d8858a9c570af",
+    "graphs/tiktok_ban/2025-01_2025-03/nodes.tsv":
+        "ad8e4d1a7bbf276591d3f20a9198e106daf1f65424ba449f7f38a8b0e5da753d",
+    "graphs/tiktok_ban/2025-01_2025-03/reposts.csv":
+        "a21b4e5011ded383e128fb2a0092a56666e717e89982a5a42785d256ea8eeec1",
+    "graphs/tiktok_ban/2025-01_2025-03/reposts.graph":
+        "b3d9647764de01150cb2f83802a7e690bae101300937553aec76e2743ecd3a8d",
+    "graphs/trump_administration/2025-01_2025-03/nodes.tsv":
+        "e1fd5b83b1bb75266569c9dc4808b14479a4e9490a621962f0a7d1d35da6c6d0",
+    "graphs/trump_administration/2025-01_2025-03/reposts.csv":
+        "ef93f0bdc778c71946a0b777ecff601a6213d91e3c37999db573429c9d9a3c70",
+    "graphs/trump_administration/2025-01_2025-03/reposts.graph":
+        "420af5e8f95f09a458edc72cbe0a1c3d4655832f3aa583839b4d545b9934be3c",
+    "groups/ai/content.json":
+        "446f15f81a321f0b1184f79f7230675b0352fb1079f807a935904b55b78bd01a",
+    "groups/ai/content.tsv":
+        "9af1e2eb29bbef7e6114141f7a15545fae1c302aa539456e902338c3308a5108",
+    "groups/ai/partition.json":
+        "d2fb2bef0431d85279ac1deb2320b2794303ffc594d56223fe93f82d96ec64fc",
+    "groups/ai/partition.tsv":
+        "fea55d6c06cd227bc11001223ab67d0ab1f32eaa1cf305a84d816b4a5173dee2",
+    "groups/russia_ukraine/content.json":
+        "dd0fef18584e80609114536b14e78e6ed0e9a96377395edf011b9f2c63502b21",
+    "groups/russia_ukraine/content.tsv":
+        "47db1362aaef67d9b764a395604937cf1d83afb4a8408e3dc7f7ea1d0b03d7bf",
+    "groups/russia_ukraine/partition.json":
+        "93089a08e9e3647d8ab023fbf71fe7013402454de3a0df7daa353fd81d9ae6c7",
+    "groups/russia_ukraine/partition.tsv":
+        "e7c31206ff125f4fae19c72d00e159112a90445c1f50aa34144b75ecfb8f1789",
+    "groups/tiktok_ban/content.json":
+        "cfc2751adcb46d5ce70fe757a25154827f76403eabe020a51c42435c36780cb1",
+    "groups/tiktok_ban/content.tsv":
+        "8511d0e04ff793ec7a2ba82dfc00c9f9138a9a09f4a3a62f14d0a669ef165174",
+    "groups/tiktok_ban/partition.json":
+        "eb87f27dd874d42a9d16408fa0f450b713c5afd92de98bcd71132caa9f707bcc",
+    "groups/tiktok_ban/partition.tsv":
+        "9fbf85147341eb9d9046626a344e069a8b40a407c3fea6ea5b1928432a2e1c45",
+    "groups/trump_administration/content.json":
+        "6fb221ecab0a8019e217f08c14bf40ed7abcded9ca89f8377bc0ca24177df4e2",
+    "groups/trump_administration/content.tsv":
+        "92ad7242d972c011273621145660c63d2197a3f7e64977f70fe1d260f7a506de",
+    "groups/trump_administration/partition.json":
+        "0e0c6e7fbb9e7a7bea38139974212b729f3f207093cd8a109ba35b34a55aab99",
+    "groups/trump_administration/partition.tsv":
+        "df277bc5ee93a501293c4b647637566b296239fc1db2531c26e3ea7338007ebd",
+    "labels/stances_ai.jsonl":
+        "e1a6655a5478a937b2c72fd77881e596ca82c7fc3c45ea4cb159b3f8054cafa1",
+    "labels/stances_russia_ukraine.jsonl":
+        "5007ddfc5c94423f397d8a0e9c477c05bc9dbecf4d26a84051880fb6e5b87b31",
+    "labels/stances_tiktok_ban.jsonl":
+        "c25d7c392d1c7fdfc7e20707c0de84968918bab70920bcbfa464f1f0c801a7ec",
+    "labels/stances_trump_administration.jsonl":
+        "1ee8e5729b3f189a7492b857b5c5555a1b6e64a56f1ab9901d50a0ed5f04057c",
+    "labels/themes.jsonl":
+        "42a71c30cb8823a348e7c94b6d849ec9be596e845bbf92fcdedba9187685fdc1",
+    "labels/topics.jsonl":
+        "79218c9a3136c226cd09df1954df8249cf8e7f20810fec63a8584ee6507151fc",
+    "metrics/pairwise_aei_ai.csv":
+        "d83e0fbc7e31b43cbd25f2be05f55f52c907cf815737ba563002e7a248f8dd25",
+    "metrics/pairwise_aei_russia_ukraine.csv":
+        "487e8d64f9575decf3482f4b9b38f2eaa0207c0309df869d94659d863a9b709f",
+    "metrics/pairwise_aei_tiktok_ban.csv":
+        "d83e0fbc7e31b43cbd25f2be05f55f52c907cf815737ba563002e7a248f8dd25",
+    "metrics/pairwise_aei_trump_administration.csv":
+        "37daecd24cb29112eb25d2bac32248545dc26e47c8df8a9d9d591e068344fb6a",
+    "metrics/stance_report.csv":
+        "01869d1eb17ad31bc38555b8a8aab4f4f5c86d4e25d6b8657cd777dc5194dbb7",
+    "metrics/stance_report.json":
+        "3f25066f2c1840d8309c36bec9ebfac47409cddff71dfd25da498dd45a18e4fa",
+    "metrics/structural_report.csv":
+        "35dd60b698ccd1c001a165a6e2f81b28cb15c3f76e399e69b46ac08ce1174628",
+    "metrics/structural_report.json":
+        "3d4cb8316385784c2cb4488c31d938f877b85b67afbe9ae5af5ad2b2929e2153",
+    "report/alignment_content.csv":
+        "eddc86a0b8b9fbaa79932ffea6973e42cb338feaf374017ef10ce9ca12ed9506",
+    "report/alignment_structural.csv":
+        "78b1627ec3c3e124885c8c4a0111506f7e23b9585cac55e42e167d86ec29a7f6",
+    "report/hyperedges.json":
+        "6e8662b13c7bc6720d26950a1269a5a667db8555f44d296bce9a0a0cfc03cd4e",
+    "report/joint_ai__russia_ukraine.csv":
+        "eee4ed4f8b28ac71c6985a9d71640c509e2411ed96db7b1ea9401e3d5761c641",
+    "report/joint_ai__tiktok_ban.csv":
+        "2027b8526f140fc05652c6c1a06aa5dadd652f9960adc5f14f6fe0899a4e27b7",
+    "report/joint_ai__trump_administration.csv":
+        "eee4ed4f8b28ac71c6985a9d71640c509e2411ed96db7b1ea9401e3d5761c641",
+    "report/joint_russia_ukraine__tiktok_ban.csv":
+        "eee4ed4f8b28ac71c6985a9d71640c509e2411ed96db7b1ea9401e3d5761c641",
+    "report/joint_russia_ukraine__trump_administration.csv":
+        "edab4ef21fd3dcd02a0a94e20b81a7707645810a244a98679fe89dd6454a81d2",
+    "report/joint_tiktok_ban__trump_administration.csv":
+        "3deb2c3fe6be81965f946b0e077906ddf4da99bb52a4a741c20bf79431c458fe",
+    "report/overlap.csv":
+        "7d2c4f706aedd97e1caf25921424966a2c2f53702cc15649e957f88429b57b46",
+    "report/report.txt":
+        "8bdbce629f92cce373f592cd81dd6a93cdfd7b5ce92fdadbfc675998cccb3ada",
+    "report/summary.json":
+        "6f4becd90aefe31166bca8752a9de1e0a684c6ee3ec4110a343b5e6a98ee50bf",
+    "report/table1_activity.csv":
+        "9376dcd605ea81644d94ee7fe3cd0ed105076d073c8eb477df9bd925914d14a4",
+    "report/table2_themes.csv":
+        "1771933079df24984ed14b5fca6710bcc52cbb44743a369ec0ad706460fda6eb",
+    "report/table3_networks.csv":
+        "3edeb9d63bd000cd6c1414c5e0ace7e2f34b5055cba7badb862eec9890df54b2",
+    "report/table4_stance.csv":
+        "01869d1eb17ad31bc38555b8a8aab4f4f5c86d4e25d6b8657cd777dc5194dbb7",
+    "report/table5_structural.csv":
+        "35dd60b698ccd1c001a165a6e2f81b28cb15c3f76e399e69b46ac08ce1174628",
+    "stats/activity_daily.csv":
+        "d76f83b352f89fc562a49560e482823a5464a019762823cf3fc24cc5663d8fb9",
+    "stats/activity_stats.json":
+        "b4683bc145e4e855a725be345518c8bc271897a1cfc7490bb5274be3a454979c",
+}
+
+
+def test_golden_digests(event_fixture, tmp_path, monkeypatch):
+    event_path, _ = event_fixture
+    monkeypatch.chdir(tmp_path)
+    Path("events.jsonl").write_bytes(event_path.read_bytes())
+    config = fixture_config("events.jsonl", "runs")
+    run_pipeline(config)
+    run_dir = run_dir_for(config)
+    digests = {str(rel): hashlib.sha256((run_dir / rel).read_bytes()).hexdigest()
+               for rel in walk_files(run_dir)}
+    assert digests == GOLDEN
