@@ -27,15 +27,12 @@ class Partition:
     """A block assignment with its description length in nats.
 
     Block ids are canonical: numbered by first appearance when nodes are
-    visited in sorted order, so equal partitions compare equal. Detection
-    also records ``dl_one_block``, the DL of putting every node in one
-    block; ``dl_one_block - dl`` is the evidence for structure.
+    visited in sorted order, so equal partitions compare equal.
     """
 
     assignment: dict
     b: int
     dl: float
-    dl_one_block: Optional[float] = field(default=None, compare=False)
 
 
 @dataclass
@@ -444,7 +441,7 @@ def detect_structural_groups_with_diagnostics(
             best = (dl, key, canon, b)
     assert best is not None
     dl, _, canon, b = best
-    return Partition(assignment=canon, b=b, dl=dl, dl_one_block=candidates[0][0]), records
+    return Partition(assignment=canon, b=b, dl=dl), records
 
 
 def content_groups(

@@ -663,6 +663,36 @@ class TestStageKeys:
         assert tree_bytes(run_dir_for(changed, root)) == tree_bytes(
             run_dir_for(changed, tmp_path / "cold"))
 
+    @pytest.mark.parametrize("escape", ["dotdot", "symlink"])
+    def test_sibling_output_outside_its_directory_is_not_copied(self, slice_bases, tmp_path,
+                                                                escape):
+        base = slice_bases[1]["whole"]
+        root = in_root_of(base, tmp_path / "root")
+        sibling = run_dir_for(base, root)
+        outside = tmp_path / "outside.txt"
+        if escape == "dotdot":
+            # an extra output two levels up, with its true hash
+            outside.write_text("not a run output\n", encoding="utf-8")
+            path = sibling / "manifests" / "ingest.json"
+            manifest = json.loads(path.read_text())
+            manifest["outputs"]["../../outside.txt"] = pipeline.file_hash(outside)
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+        else:
+            # a recorded output that is a link to identical bytes elsewhere
+            linked = sibling / "corpus" / "reposts.jsonl"
+            outside.write_bytes(linked.read_bytes())
+            linked.unlink()
+            linked.symlink_to(outside)
+        before = outside.read_bytes()
+        changed = replace(base, metrics=replace(base.metrics, hypergraph_threshold=0.5))
+        manifests = run_pipeline(changed, run_root=root)
+        assert ran(manifests) == ["ingest", "metrics", "crosstopic", "report"]
+        assert outside.read_bytes() == before
+        assert not (root / "outside.txt").exists()
+        run_pipeline(changed, run_root=tmp_path / "cold")
+        assert tree_bytes(run_dir_for(changed, root)) == tree_bytes(
+            run_dir_for(changed, tmp_path / "cold"))
+
 
 # sha256 of every file outside manifests/ for a cold run of the c8 fixture
 # config, with paths relative to the working directory so that config.json
