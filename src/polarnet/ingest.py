@@ -12,7 +12,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import EventParseError
 
@@ -43,12 +43,14 @@ DEFAULT_DOWNTIME: dict[date, float] = {
 }
 
 
-@dataclass(frozen=True)
-class RawEvent:
+class RawEvent(NamedTuple):
     """One decoded event from the stream.
 
     ``collection`` is the short kind; the original wire name is kept so that
-    unknown collections round-trip unchanged.
+    unknown collections round-trip unchanged. A named tuple, not a frozen
+    dataclass: one is built per dump line, and a frozen dataclass sets each
+    field through ``object.__setattr__`` where a tuple is built in one call.
+    Both are immutable and hashable.
     """
 
     action: str
@@ -90,38 +92,35 @@ def parse_event(line: str, offset: int = 0) -> RawEvent:
     if not isinstance(obj, dict):
         raise EventParseError(offset, "event is not an object")
 
-    action = obj.get("action")
-    if action not in ACTIONS:
+    get = obj.get
+    action = get("action")
+    # an unhashable action (a list or object) cannot be looked up in ACTIONS
+    if not isinstance(action, str) or action not in ACTIONS:
         raise EventParseError(offset, f"unknown action {action!r}")
-    wire = obj.get("collection")
+    wire = get("collection")
     if not isinstance(wire, str) or not wire:
         raise EventParseError(offset, "missing collection")
-    author = obj.get("did")
+    author = get("did")
     if not isinstance(author, str) or not author:
         raise EventParseError(offset, "missing author did")
-    raw_time = obj.get("time")
+    raw_time = get("time")
     if not isinstance(raw_time, str):
         raise EventParseError(offset, "missing time")
     try:
         ts = _parse_timestamp(raw_time)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an offset that moves year 1 or 9999 out of range
         raise EventParseError(offset, f"bad timestamp {raw_time!r}") from exc
 
-    kind = COLLECTION_KINDS.get(wire, "other")
-    langs = obj.get("langs") or ()
-    if not isinstance(langs, (list, tuple)):
-        raise EventParseError(offset, "langs must be a list")
-    return RawEvent(
-        action=action,
-        collection=kind,
-        author=author,
-        timestamp=ts,
-        uri=obj.get("uri"),
-        text=obj.get("text"),
-        langs=tuple(str(t) for t in langs),
-        subject=obj.get("subject"),
-        wire_collection=wire,
-    )
+    langs = get("langs")
+    if langs:
+        if not isinstance(langs, list):
+            raise EventParseError(offset, "langs must be a list")
+        langs = tuple(map(str, langs))
+    else:
+        langs = ()
+    return RawEvent(action, COLLECTION_KINDS.get(wire, "other"), author, ts, get("uri"),
+                    get("text"), langs, get("subject"), wire)
 
 
 def serialize_event(event: RawEvent) -> str:

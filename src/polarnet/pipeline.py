@@ -28,6 +28,7 @@ import json
 import logging
 import shutil
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from datetime import timedelta
 from pathlib import Path
@@ -136,6 +137,12 @@ def input_files(patterns: list[str]) -> list[Path]:
 def read_events(paths: list[Path], window=None, downtime=None):
     """Parse event dumps into (activity stats, parse-error count, posts, reposts).
 
+    One streaming pass: each dump is opened in turn, and every event it
+    yields feeds the activity stats and then ``build_post_records`` as it is
+    parsed. No event list is kept, so memory grows with the posts and
+    reposts, not with the likes, follows and other filler lines. Every
+    dump is closed, also when a later line raises.
+
     ``window`` is a config window, [start, end); the stats window is the
     inclusive days it covers.
     """
@@ -143,18 +150,21 @@ def read_events(paths: list[Path], window=None, downtime=None):
     if window:
         window_days = (window[0].date(), window[1].date() - timedelta(days=1))
     acc = StatsAccumulator(downtime=downtime, window=window_days)
-    events = []
     parse_errors = 0
-    for path in paths:
-        errors: list = []
-        with path.open(encoding="utf-8") as fh:
-            for event in parse_stream(fh, errors):
-                acc.add(event)
-                events.append(event)
-        parse_errors += len(errors)
-    stats = acc.finalize()
-    posts, reposts = build_post_records(events)
-    return stats, parse_errors, posts, reposts
+
+    def events():
+        nonlocal parse_errors
+        for path in paths:
+            errors: list = []  # offsets restart in each dump
+            with path.open(encoding="utf-8") as fh:
+                for event in parse_stream(fh, errors):
+                    acc.add(event)
+                    yield event
+            parse_errors += len(errors)
+
+    with closing(events()) as stream:
+        posts, reposts = build_post_records(stream)
+    return acc.finalize(), parse_errors, posts, reposts
 
 
 def write_activity_stats(stats_dir: Path, stats, parse_errors: int) -> list[Path]:
@@ -807,6 +817,20 @@ def _run_stage(stage: str, config: PipelineConfig, run_dir: Path, key: str,
     return manifest
 
 
+def _stamp_config(path: Path, stamp: dict) -> None:
+    """Write ``config.json`` unless it already holds ``stamp``.
+
+    Compared by content, not by the run hash: ``out_dir`` and the order of
+    ``inputs`` can differ between configs that share a run directory.
+    """
+    try:
+        if json.loads(path.read_text(encoding="utf-8")) == stamp:
+            return
+    except (OSError, ValueError):
+        pass  # missing or unreadable: write it
+    write_json(path, stamp)
+
+
 def run_pipeline(
     config: PipelineConfig,
     stages: Optional[list[str]] = None,
@@ -826,7 +850,7 @@ def run_pipeline(
         if unknown:
             raise StageError(sorted(unknown)[0], "unknown stage")
     run_dir = run_dir_for(config, run_root)
-    write_json(run_dir / "config.json", config_to_dict(config))
+    _stamp_config(run_dir / "config.json", config_to_dict(config))
     fields = config_json(config)
 
     verified: dict[str, Optional[dict[str, str]]] = {}

@@ -7,9 +7,13 @@ the package under test.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter, defaultdict
+from dataclasses import dataclass
+from datetime import datetime, timezone
 from itertools import combinations
+from typing import Optional
 
 
 def set_partitions(items, max_blocks):
@@ -180,3 +184,103 @@ def joint_table_direct(sx, sy, order):
         counts[(sx[u], sy[u])] += 1
     n = len(shared)
     return [[counts[(a, b)] / n for b in order] for a in order]
+
+
+# --- event parsing ---------------------------------------------------------
+# The event decoder as it stood before RawEvent became a named tuple: a
+# frozen dataclass built by keyword, every field fetched through obj.get.
+# Only the record and error types are renamed, so the parser under test is
+# compared with this copy line for line, errors included.
+
+DIRECT_ACTIONS = frozenset({"create", "update", "delete"})
+
+DIRECT_COLLECTION_KINDS = {
+    "app.bsky.feed.post": "post",
+    "app.bsky.feed.repost": "repost",
+    "app.bsky.feed.like": "like",
+    "app.bsky.graph.block": "block",
+    "app.bsky.graph.follow": "follow",
+    "app.bsky.actor.profile": "profile",
+}
+
+
+class DirectParseError(Exception):
+    def __init__(self, offset: int, reason: str):
+        super().__init__(f"line {offset}: {reason}")
+        self.offset = offset
+        self.reason = reason
+
+
+@dataclass(frozen=True)
+class DirectEvent:
+    action: str
+    collection: str
+    author: str
+    timestamp: datetime
+    uri: Optional[str] = None
+    text: Optional[str] = None
+    langs: tuple[str, ...] = ()
+    subject: Optional[str] = None
+    wire_collection: str = ""
+
+    @property
+    def is_create(self) -> bool:
+        return self.action == "create"
+
+
+def _parse_timestamp_direct(raw: str) -> datetime:
+    # RFC-3339; python 3.10 fromisoformat does not accept a trailing Z.
+    if raw.endswith("Z") or raw.endswith("z"):
+        raw = raw[:-1] + "+00:00"
+    ts = datetime.fromisoformat(raw)
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc)
+
+
+def parse_event_direct(line: str, offset: int = 0) -> DirectEvent:
+    """Decode one line of the event dump into a DirectEvent.
+
+    Raises DirectParseError (with the line offset) on malformed records.
+    Unknown collections are retained with collection="other" rather than
+    rejected, so a stream with new event types still parses.
+    """
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DirectParseError(offset, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise DirectParseError(offset, "event is not an object")
+
+    action = obj.get("action")
+    if action not in DIRECT_ACTIONS:
+        raise DirectParseError(offset, f"unknown action {action!r}")
+    wire = obj.get("collection")
+    if not isinstance(wire, str) or not wire:
+        raise DirectParseError(offset, "missing collection")
+    author = obj.get("did")
+    if not isinstance(author, str) or not author:
+        raise DirectParseError(offset, "missing author did")
+    raw_time = obj.get("time")
+    if not isinstance(raw_time, str):
+        raise DirectParseError(offset, "missing time")
+    try:
+        ts = _parse_timestamp_direct(raw_time)
+    except ValueError as exc:
+        raise DirectParseError(offset, f"bad timestamp {raw_time!r}") from exc
+
+    kind = DIRECT_COLLECTION_KINDS.get(wire, "other")
+    langs = obj.get("langs") or ()
+    if not isinstance(langs, (list, tuple)):
+        raise DirectParseError(offset, "langs must be a list")
+    return DirectEvent(
+        action=action,
+        collection=kind,
+        author=author,
+        timestamp=ts,
+        uri=obj.get("uri"),
+        text=obj.get("text"),
+        langs=tuple(str(t) for t in langs),
+        subject=obj.get("subject"),
+        wire_collection=wire,
+    )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import os
 import shutil
 import socket
 from collections import Counter
@@ -366,6 +367,23 @@ class TestCacheDecisions:
             assert all(m.cached == cached for m in manifests)
             assert str(event_path) in calls
             assert set(calls.values()) == {1}, calls.most_common(3)
+
+    def test_config_stamp_written_only_when_its_content_changes(self, event_fixture, tmp_path):
+        event_path, _ = event_fixture
+        config = fixture_config(event_path, tmp_path / "runs")
+        run_pipeline(config, stages=["ingest"])
+        stamp = run_dir_for(config) / "config.json"
+        old = 1_000_000_000_000_000_000  # 2001, far from now whatever the clock's grain
+        os.utime(stamp, ns=(old, old))
+        [manifest] = run_pipeline(config, stages=["ingest"])
+        assert manifest.cached
+        assert stamp.stat().st_mtime_ns == old
+        # same run directory, another spelling of out_dir: the stamp follows it
+        respelled = replace(config, out_dir=str(tmp_path / "runs") + "/")
+        assert run_dir_for(respelled) == run_dir_for(config)
+        run_pipeline(respelled, stages=["ingest"])
+        assert stamp.stat().st_mtime_ns != old
+        assert json.loads(stamp.read_text()) == config_to_dict(respelled)
 
     def test_tampered_upstream_refuses_cached_stage(self, event_fixture, tmp_path):
         event_path, _ = event_fixture
