@@ -14,7 +14,7 @@ import math
 import time
 from collections import Counter
 
-from polarnet.groups import detect_structural_groups
+from polarnet.groups import detect_structural_groups_with_diagnostics
 from polarnet.synthetic import erdos_renyi_graph, planted_partition_graph
 
 
@@ -56,7 +56,7 @@ def main() -> None:
     for i in range(args.graphs):
         g, labels = planted_partition_graph(n, 2, args.p_in, args.p_out,
                                             seed=args.seed + i)
-        part = detect_structural_groups(g, seed=args.seed + 9000 + i)
+        part = detect_structural_groups_with_diagnostics(g, seed=args.seed + 9000 + i)[0]
         score = nmi(part.assignment, labels)
         flag = "ok " if score >= 0.95 else "LOW"
         print(f"planted {i:02d}: B={part.b} NMI={score:.3f} {flag}")
@@ -65,7 +65,7 @@ def main() -> None:
     single = 0
     for i in range(args.graphs):
         g = erdos_renyi_graph(n, p_null, seed=args.seed + i)
-        part = detect_structural_groups(g, seed=args.seed + 9500 + i)
+        part = detect_structural_groups_with_diagnostics(g, seed=args.seed + 9500 + i)[0]
         print(f"null    {i:02d}: B={part.b}")
         single += part.b == 1
 

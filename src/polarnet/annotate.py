@@ -2,8 +2,8 @@
 
 Holds the closed label vocabularies (themes, parent topics, stances), the
 operations that call an annotation provider, and the persisted label
-stores. All enums are closed: stores and classifiers reject anything
-outside them.
+stores. All enums are closed: stores and the batch annotators reject
+anything outside them.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import AnnotationError
 from .ingest import PostRecord
-from .providers import (
-    RETRIES,
-    AnnotationProvider,
-    AnnotationRequest,
-    annotate_in_order,
-    annotate_with_retry,
-)
+from .providers import AnnotationProvider, AnnotationRequest, annotate_in_order
 from .templates import template_hash
 
 NON_POLITICAL = "Non-Political"
@@ -97,25 +91,6 @@ DEFAULT_TOPICS = (
 )
 
 
-@dataclass(frozen=True)
-class ThemeLabel:
-    post_uri: str
-    theme: str
-
-
-@dataclass(frozen=True)
-class TopicLabel:
-    post_uri: str
-    topic: str
-
-
-@dataclass(frozen=True)
-class StanceLabel:
-    user: str
-    topic: str
-    stance: str
-
-
 def theme_request(post: PostRecord) -> AnnotationRequest:
     """The provider request for a post's theme; ValueError for an empty post."""
     if not post.text:
@@ -127,36 +102,16 @@ def theme_request(post: PostRecord) -> AnnotationRequest:
     )
 
 
-def classify_theme(post: PostRecord, provider: AnnotationProvider) -> ThemeLabel:
-    """Assign one of the closed themes to a post via the provider."""
-    return ThemeLabel(post.uri, annotate_with_retry(provider, theme_request(post), RETRIES))
-
-
 def topic_request(
-    post: PostRecord, theme: ThemeLabel, topics: tuple[TopicSpec, ...] = DEFAULT_TOPICS
+    post: PostRecord, topics: tuple[TopicSpec, ...] = DEFAULT_TOPICS
 ) -> AnnotationRequest:
     """The provider request for a political post's parent topic."""
-    if theme.post_uri != post.uri:
-        raise ValueError("theme label belongs to a different post")
-    if theme.theme == NON_POLITICAL:
-        raise ValueError(f"post {post.uri} is not political; no topic to assign")
     label_set = tuple(t.id for t in topics) + (OTHER_TOPIC,)
     return AnnotationRequest(
         template_id="topic_v1",
         context={"text": post.text, "label_lines": "\n".join(label_set)},
         label_set=label_set,
     )
-
-
-def assign_topic(
-    post: PostRecord,
-    theme: ThemeLabel,
-    provider: AnnotationProvider,
-    topics: tuple[TopicSpec, ...] = DEFAULT_TOPICS,
-) -> TopicLabel:
-    """Reclassify a politically themed post into a parent topic (or other)."""
-    request = topic_request(post, theme, topics)
-    return TopicLabel(post.uri, annotate_with_retry(provider, request, RETRIES))
 
 
 def sample_user_posts(
@@ -194,17 +149,6 @@ def stance_request(user: str, sample: list[PostRecord], topic: TopicSpec) -> Ann
     )
 
 
-def classify_stance(
-    user: str,
-    sample: list[PostRecord],
-    topic: TopicSpec,
-    provider: AnnotationProvider,
-) -> StanceLabel:
-    """Assign for/neutral/against on one topic from the user's sampled posts."""
-    label = annotate_with_retry(provider, stance_request(user, sample, topic), RETRIES)
-    return StanceLabel(user, topic.id, topic.stance_from_label(label))
-
-
 @dataclass
 class ThemeDistribution:
     counts: dict[str, int]
@@ -214,19 +158,14 @@ class ThemeDistribution:
     share_of_political: dict[str, float]
 
 
-def theme_distribution(
-    labels: Union[Iterable[ThemeLabel], Mapping[str, int]]
-) -> ThemeDistribution:
+def theme_distribution(counts: Mapping[str, int]) -> ThemeDistribution:
     """Per-theme counts and shares, overall and among political posts only.
 
-    Accepts either individual labels or a precomputed theme -> count
-    mapping. When no post is political, the political-conditional shares
-    are reported as an empty section.
+    ``counts`` maps each theme to its number of posts. When no post is
+    political, the political-conditional shares are reported as an empty
+    section.
     """
-    if isinstance(labels, Mapping):
-        counts = Counter(dict(labels))
-    else:
-        counts = Counter(label.theme for label in labels)
+    counts = Counter(counts)
     unknown = set(counts) - set(THEMES)
     if unknown:
         raise ValueError(f"labels outside the theme vocabulary: {sorted(unknown)}")
@@ -402,7 +341,7 @@ def annotate_topics(
             theme = themes.get(post.uri)
             if theme is None or theme == NON_POLITICAL:
                 continue
-            request = topic_request(post, ThemeLabel(post.uri, theme), topics)
+            request = topic_request(post, topics)
             yield post.uri, post.created_at.isoformat(), request
 
     return _label_in_order(

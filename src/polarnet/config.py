@@ -23,7 +23,6 @@ from .ingest import DEFAULT_DOWNTIME
 STAGES = ("ingest", "annotate", "graph", "groups", "metrics", "crosstopic", "report")
 
 PROVIDER_URL_ENV = "POLARNET_PROVIDER_URL"
-PROVIDER_TOKEN_ENV = "POLARNET_PROVIDER_TOKEN"
 
 
 @dataclass
@@ -38,9 +37,6 @@ class ProviderConfig:
         if not url:
             raise ConfigError("http provider requires a url (or POLARNET_PROVIDER_URL)")
         return url
-
-    def token(self) -> Optional[str]:
-        return os.environ.get(PROVIDER_TOKEN_ENV)
 
 
 @dataclass
@@ -125,11 +121,17 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             raise ConfigError(f"config is missing required field {key!r}")
     if not isinstance(raw["seed"], int):
         raise ConfigError("seed must be an integer (stochastic stages require it)")
+    inputs = raw["inputs"]
+    if not isinstance(inputs, list) or not all(isinstance(p, str) for p in inputs):
+        raise ConfigError("inputs must be a list of path or glob strings")
 
     window = None
     if raw.get("window"):
         w = raw["window"]
-        window = (_parse_date(w["start"]), _parse_date(w["end"]))
+        try:
+            window = (_parse_date(w["start"]), _parse_date(w["end"]))
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"window needs 'start' and 'end' dates: {exc!r}") from exc
 
     topics = DEFAULT_TOPICS
     if raw.get("topics"):
@@ -158,16 +160,26 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     downtime = dict(DEFAULT_DOWNTIME)
     if "downtime" in raw:
         downtime = {}
-        for entry in raw["downtime"]:
-            day = date.fromisoformat(entry["date"])
-            downtime[day] = float(entry["observed_hours"]) / 24.0
+        try:
+            for entry in raw["downtime"]:
+                day = date.fromisoformat(entry["date"])
+                downtime[day] = float(entry["observed_hours"]) / 24.0
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"downtime must list {{'date', 'observed_hours'}} entries: {exc!r}"
+            ) from exc
 
     annotate_on = raw.get("annotate_on", "filtered")
     if annotate_on not in ("filtered", "sampled"):
         raise ConfigError("annotate_on must be 'filtered' or 'sampled'")
 
+    try:
+        stance_sample_k = int(raw.get("stance_sample_k", 10))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"stance_sample_k must be an integer: {exc}") from exc
+
     return PipelineConfig(
-        inputs=list(raw["inputs"]),
+        inputs=list(inputs),
         out_dir=str(raw["out_dir"]),
         seed=raw["seed"],
         window=window,
@@ -177,7 +189,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         topics=topics,
         detection=section("detection", DetectionConfig),
         metrics=section("metrics", MetricFlags),
-        stance_sample_k=int(raw.get("stance_sample_k", 10)),
+        stance_sample_k=stance_sample_k,
         annotate_on=annotate_on,
         downtime=downtime,
     )

@@ -17,7 +17,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .ingest import PostRecord, RepostEvent
 
-_MAGIC = b"PNETG1\x00"
+# format tag plus "E": the file holds one record per edge event
+_MAGIC = b"PNETG1\x00E"
 
 
 @dataclass(frozen=True)
@@ -208,20 +209,14 @@ def _from_epoch_us(us: int) -> datetime:
 
 
 def save_graph(g: TopicNetwork, path: Union[str, Path], node_index: Mapping) -> None:
-    path = Path(path)
-    with path.open("wb") as fh:
-        if g.events is not None:
-            fh.write(_MAGIC + b"E" + struct.pack("<I", len(g.events)))
-            for e in g.events:
-                fh.write(
-                    struct.pack("<IIq", node_index[e.source], node_index[e.target],
-                                _epoch_us(e.timestamp))
-                )
-        else:
-            items = sorted(g.multiplicity.items())
-            fh.write(_MAGIC + b"M" + struct.pack("<I", len(items)))
-            for (u, v), c in items:
-                fh.write(struct.pack("<IIQ", node_index[u], node_index[v], c))
+    """Write ``g.events``, one record per edge; every pipeline graph is built from events."""
+    with Path(path).open("wb") as fh:
+        fh.write(_MAGIC + struct.pack("<I", len(g.events)))
+        for e in g.events:
+            fh.write(
+                struct.pack("<IIq", node_index[e.source], node_index[e.target],
+                            _epoch_us(e.timestamp))
+            )
 
 
 def load_graph(
@@ -235,36 +230,22 @@ def load_graph(
     data = path.read_bytes()
     if data[: len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path} is not a graph file")
-    mode = data[len(_MAGIC) : len(_MAGIC) + 1]
-    (count,) = struct.unpack_from("<I", data, len(_MAGIC) + 1)
-    offset = len(_MAGIC) + 5
-    if mode == b"E":
-        events = []
-        for _ in range(count):
-            s, t, us = struct.unpack_from("<IIq", data, offset)
-            offset += 16
-            events.append(EdgeRecord(nodes[s], nodes[t], _from_epoch_us(us)))
-        return TopicNetwork.from_events(topic, interaction, window, events,
-                                        extra_nodes=nodes)
-    mult = Counter()
+    (count,) = struct.unpack_from("<I", data, len(_MAGIC))
+    offset = len(_MAGIC) + 4
+    events = []
     for _ in range(count):
-        s, t, c = struct.unpack_from("<IIQ", data, offset)
+        s, t, us = struct.unpack_from("<IIq", data, offset)
         offset += 16
-        mult[(nodes[s], nodes[t])] = c
-    return TopicNetwork(topic, interaction, window, set(nodes), mult)
+        events.append(EdgeRecord(nodes[s], nodes[t], _from_epoch_us(us)))
+    return TopicNetwork.from_events(topic, interaction, window, events, extra_nodes=nodes)
 
 
 def export_csv(g: TopicNetwork, path: Union[str, Path]) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source", "target", "timestamp"])
-        if g.events is not None:
-            for e in g.events:
-                writer.writerow([e.source, e.target, e.timestamp.isoformat()])
-        else:
-            for (u, v), c in sorted(g.multiplicity.items()):
-                for _ in range(c):
-                    writer.writerow([u, v, ""])
+        for e in g.events:
+            writer.writerow([e.source, e.target, e.timestamp.isoformat()])
 
 
 def parse_window(spec: str) -> tuple[datetime, datetime]:

@@ -14,9 +14,8 @@ import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
-from .annotate import StanceLabel
 from .graphs import TopicNetwork
 
 _EPS = 1e-10
@@ -376,21 +375,6 @@ def _single_run(state: _SearchState, iters: int, run_seed: int) -> RunRecord:
     return record
 
 
-def detect_structural_groups(
-    g: TopicNetwork,
-    max_groups: int = 5,
-    runs: int = 15,
-    iters: int = 50,
-    seed: int = 0,
-    collapse_multigraph: bool = False,
-) -> Partition:
-    partition, _ = detect_structural_groups_with_diagnostics(
-        g, max_groups=max_groups, runs=runs, iters=iters, seed=seed,
-        collapse_multigraph=collapse_multigraph,
-    )
-    return partition
-
-
 def detect_structural_groups_with_diagnostics(
     g: TopicNetwork,
     max_groups: int = 5,
@@ -444,16 +428,9 @@ def detect_structural_groups_with_diagnostics(
     return Partition(assignment=canon, b=b, dl=dl), records
 
 
-def content_groups(
-    stances: Union[Iterable[StanceLabel], Mapping[str, str]],
-    g: TopicNetwork,
-) -> StanceGrouping:
-    """Restrict stance labels to the network's nodes and report coverage."""
-    if isinstance(stances, Mapping):
-        by_user = dict(stances)
-    else:
-        by_user = {s.user: s.stance for s in stances}
-    assignment = {n: by_user[n] for n in g.nodes if n in by_user}
+def content_groups(stances: Mapping[str, str], g: TopicNetwork) -> StanceGrouping:
+    """Restrict user -> stance labels to the network's nodes and report coverage."""
+    assignment = {n: stances[n] for n in g.nodes if n in stances}
     unlabeled = set(g.nodes) - set(assignment)
     coverage = len(assignment) / len(g.nodes) if g.nodes else 0.0
     return StanceGrouping(

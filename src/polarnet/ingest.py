@@ -183,11 +183,7 @@ class ActivityStats:
 
 
 class StatsAccumulator:
-    """Streaming accumulator for ActivityStats.
-
-    Partial accumulators from shards of the same stream merge associatively
-    and commutatively, so parsing may be split at line boundaries.
-    """
+    """Streaming accumulator for ActivityStats."""
 
     def __init__(
         self,
@@ -216,16 +212,6 @@ class StatsAccumulator:
         for event in events:
             self.add(event)
         return self
-
-    def merge(self, other: "StatsAccumulator") -> None:
-        for kind, days in other._counts.items():
-            for day, n in days.items():
-                self._counts[kind][day] += n
-        for kind, days in other._authors.items():
-            for day, authors in days.items():
-                self._authors[kind][day] |= authors
-        self.non_create_events += other.non_create_events
-        self.other_collection_events += other.other_collection_events
 
     def _observed_days(self, window: Optional[tuple[date, date]]) -> float:
         if window is None:

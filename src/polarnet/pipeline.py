@@ -131,6 +131,9 @@ def input_files(patterns: list[str]) -> list[Path]:
             files.append(Path(pattern))
     if not files:
         raise StageError("ingest", f"no input files match {patterns}")
+    for path in files:
+        if not path.is_file():
+            raise StageError("ingest", f"input {path} is not a regular file")
     return files
 
 
@@ -405,7 +408,7 @@ def stage_annotate(config: PipelineConfig, run_dir: Path):
     corpus_name = "sampled.jsonl" if config.annotate_on == "sampled" else "filtered.jsonl"
     posts = load_posts(run_dir / "corpus" / corpus_name)
     reposts = load_reposts(run_dir / "corpus" / "reposts.jsonl")
-    provider = provider_from_spec(config.provider.spec_string(), config.provider.token())
+    provider = provider_from_spec(config.provider.spec_string())
 
     labels_dir = run_dir / "labels"
     labels_dir.mkdir(parents=True, exist_ok=True)

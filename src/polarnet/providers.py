@@ -9,6 +9,7 @@ tests, fixtures, and offline runs.
 from __future__ import annotations
 
 import json
+import os
 import urllib.error
 import urllib.request
 from collections import deque
@@ -29,6 +30,8 @@ class AnnotationRequest:
 # provider calls per item while it returns labels outside the closed set
 RETRIES = 3
 
+PROVIDER_TOKEN_ENV = "POLARNET_PROVIDER_TOKEN"
+
 
 class AnnotationProvider(Protocol):
     """Answers one request with one label.
@@ -42,17 +45,15 @@ class AnnotationProvider(Protocol):
     def annotate(self, request: AnnotationRequest) -> str: ...
 
 
-def annotate_with_retry(
-    provider: AnnotationProvider, request: AnnotationRequest, retries: int = RETRIES
-) -> str:
+def annotate_with_retry(provider: AnnotationProvider, request: AnnotationRequest) -> str:
     """Call the provider, rejecting labels outside the closed set.
 
-    Invalid labels are retried up to ``retries`` times; exhausting them
-    raises AnnotationError so the caller can record the item as unlabeled.
-    Transport failures are not retried here.
+    The provider is called up to ``RETRIES`` times while its labels are
+    invalid; exhausting them raises AnnotationError so the caller can
+    record the item as unlabeled. Transport failures are not retried here.
     """
     last = None
-    for _ in range(max(1, retries)):
+    for _ in range(RETRIES):
         label = provider.annotate(request)
         if label in request.label_set:
             return label
@@ -66,7 +67,7 @@ def _label_or_error(
     provider: AnnotationProvider, request: AnnotationRequest
 ) -> Union[str, AnnotationError]:
     try:
-        return annotate_with_retry(provider, request, RETRIES)
+        return annotate_with_retry(provider, request)
     except AnnotationError as exc:
         return exc
 
@@ -275,10 +276,13 @@ class HttpProvider:
         return label
 
 
-def provider_from_spec(spec: str, token: Optional[str] = None) -> AnnotationProvider:
-    """Build a provider from a CLI/config string: "mock" or an endpoint URL."""
+def provider_from_spec(spec: str) -> AnnotationProvider:
+    """Build a provider from a CLI/config string: "mock" or an endpoint URL.
+
+    An HTTP provider sends the bearer token from ``POLARNET_PROVIDER_TOKEN``.
+    """
     if spec == "mock":
         return MockProvider()
     if spec.startswith(("http://", "https://")):
-        return HttpProvider(spec, token=token)
+        return HttpProvider(spec, token=os.environ.get(PROVIDER_TOKEN_ENV))
     raise ValueError(f"provider must be 'mock' or an http(s) URL, got {spec!r}")

@@ -15,6 +15,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Optional
 
+from .annotate import theme_distribution, theme_store
+from .config import config_hash
+
 DASH = "--"
 
 TABLE4_HEADER = [
@@ -108,8 +111,6 @@ def render_report(config, run_dir: Path):
     Missing upstream sections are skipped and listed in summary.json, so
     a partial pipeline still yields a valid (partial) bundle.
     """
-    from .config import config_hash  # local import to avoid a cycle
-
     report_dir = run_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -164,13 +165,7 @@ def render_report(config, run_dir: Path):
     # theme distribution
     themes_path = run_dir / "labels" / "themes.jsonl"
     if themes_path.exists():
-        counts: Counter = Counter()
-        with themes_path.open(encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    counts[json.loads(line)["label"]] += 1
-        from .annotate import theme_distribution
-
+        counts = Counter(theme_store(themes_path).mapping().values())
         if counts:
             dist = theme_distribution(counts)
             rows = []

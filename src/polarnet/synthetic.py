@@ -1,5 +1,5 @@
-"""Synthetic data: benchmark graphs with known structure and a bundled
-event-stream fixture with ground-truth labels.
+"""Synthetic data: planted-partition and structureless benchmark graphs, and
+a bundled event-stream fixture with ground-truth labels.
 
 Everything here is a pure function of its seed, which is what makes the
 end-to-end pipeline reproducible in tests and demos.
@@ -56,32 +56,6 @@ def erdos_renyi_graph(n: int = 200, p: float = 0.055, seed: int = 0) -> TopicNet
             if rng.random() < p:
                 mult[(nodes[i], nodes[j])] += 1
     return TopicNetwork("er", "reposts", None, set(nodes), mult)
-
-
-def two_clique_graph(clique_size: int = 4) -> tuple[TopicNetwork, dict]:
-    """Two disconnected cliques; the obvious two-block ground truth."""
-    nodes = [f"n{i:02d}" for i in range(2 * clique_size)]
-    labels = {node: int(i >= clique_size) for i, node in enumerate(nodes)}
-    mult: Counter = Counter()
-    for side in (nodes[:clique_size], nodes[clique_size:]):
-        for i in range(len(side)):
-            for j in range(i + 1, len(side)):
-                mult[(side[i], side[j])] += 1
-    return TopicNetwork("cliques", "reposts", None, set(nodes), mult), labels
-
-
-def random_multigraph(
-    n_nodes: int, n_edges: int, n_groups: int, seed: int = 0
-) -> tuple[TopicNetwork, dict]:
-    """Directed multigraph with random group labels, for oracle checks."""
-    rng = random.Random(seed)
-    nodes = [f"n{i:04d}" for i in range(n_nodes)]
-    mult: Counter = Counter()
-    for _ in range(n_edges):
-        u, v = rng.sample(nodes, 2)
-        mult[(u, v)] += 1 + (rng.random() < 0.2)
-    groups = {node: rng.randrange(n_groups) for node in nodes}
-    return TopicNetwork("rand", "reposts", None, set(nodes), mult), groups
 
 
 # ---------------------------------------------------------------------------

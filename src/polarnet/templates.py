@@ -23,7 +23,3 @@ def load_template(template_id: str) -> str:
 def template_hash(template_id: str) -> str:
     text = load_template(template_id)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def render_template(template_id: str, context: dict) -> str:
-    return load_template(template_id).format(**context)

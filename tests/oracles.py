@@ -2,18 +2,22 @@
 
 Everything here is deliberately written the slow, obvious way (exhaustive
 enumeration, direct summation over raw edge lists) and shares no code with
-the package under test.
+the package under test; the test-graph generators only build its
+TopicNetwork record.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import combinations
 from typing import Optional
+
+from polarnet.graphs import TopicNetwork
 
 
 def set_partitions(items, max_blocks):
@@ -184,6 +188,37 @@ def joint_table_direct(sx, sy, order):
         counts[(sx[u], sy[u])] += 1
     n = len(shared)
     return [[counts[(a, b)] / n for b in order] for a in order]
+
+
+# --- test graphs -----------------------------------------------------------
+# Seeded graph generators for detector and metric checks. They build the
+# package's TopicNetwork record, nothing more.
+
+
+def two_clique_graph(clique_size: int = 4) -> tuple[TopicNetwork, dict]:
+    """Two disconnected cliques; the obvious two-block ground truth."""
+    nodes = [f"n{i:02d}" for i in range(2 * clique_size)]
+    labels = {node: int(i >= clique_size) for i, node in enumerate(nodes)}
+    mult: Counter = Counter()
+    for side in (nodes[:clique_size], nodes[clique_size:]):
+        for i in range(len(side)):
+            for j in range(i + 1, len(side)):
+                mult[(side[i], side[j])] += 1
+    return TopicNetwork("cliques", "reposts", None, set(nodes), mult), labels
+
+
+def random_multigraph(
+    n_nodes: int, n_edges: int, n_groups: int, seed: int = 0
+) -> tuple[TopicNetwork, dict]:
+    """Directed multigraph with random group labels, for oracle checks."""
+    rng = random.Random(seed)
+    nodes = [f"n{i:04d}" for i in range(n_nodes)]
+    mult: Counter = Counter()
+    for _ in range(n_edges):
+        u, v = rng.sample(nodes, 2)
+        mult[(u, v)] += 1 + (rng.random() < 0.2)
+    groups = {node: rng.randrange(n_groups) for node in nodes}
+    return TopicNetwork("rand", "reposts", None, set(nodes), mult), groups
 
 
 # --- event parsing ---------------------------------------------------------

@@ -13,7 +13,7 @@ from datetime import date
 
 from conftest import fixture_config
 from polarnet.graphs import TopicNetwork, network_stats
-from polarnet.groups import description_length, detect_structural_groups
+from polarnet.groups import description_length, detect_structural_groups_with_diagnostics
 from polarnet.ingest import (
     DEFAULT_DOWNTIME,
     StatsAccumulator,
@@ -33,7 +33,6 @@ from polarnet.synthetic import (
     erdos_renyi_graph,
     make_event_stream,
     planted_partition_graph,
-    random_multigraph,
 )
 
 from oracles import (
@@ -42,6 +41,7 @@ from oracles import (
     coleman_direct,
     maximal_cliques_direct,
     nmi_direct,
+    random_multigraph,
     set_partitions,
     simpson_direct,
 )
@@ -233,7 +233,7 @@ def test_c5_oracle_equivalence():
             mult[(u, v)] += 1
         g = TopicNetwork("t", "reposts", None, set(nodes), mult)
         exhaustive = min(description_length(g, p) for p in set_partitions(nodes, 3))
-        found = detect_structural_groups(g, max_groups=3, seed=seed).dl
+        found = detect_structural_groups_with_diagnostics(g, max_groups=3, seed=seed)[0].dl
         if abs(found - exhaustive) > 1e-9:
             dl_misses.append(f"seed {seed}: {found:.6f} vs {exhaustive:.6f}")
     elapsed = time.perf_counter() - start
@@ -249,14 +249,14 @@ def test_c6_planted_partition_recovery():
     recovered = 0
     for seed in range(20):
         g, labels = planted_partition_graph(200, 2, 0.1, 0.01, seed=seed)
-        part = detect_structural_groups(g, seed=9000 + seed)
+        part = detect_structural_groups_with_diagnostics(g, seed=9000 + seed)[0]
         if nmi_direct(part.assignment, labels) >= 0.95:
             recovered += 1
     # same expected density as the planted graphs
     single_block = 0
     for seed in range(20):
         g = erdos_renyi_graph(200, 0.0548, seed=seed)
-        part = detect_structural_groups(g, seed=9100 + seed)
+        part = detect_structural_groups_with_diagnostics(g, seed=9100 + seed)[0]
         if part.b == 1:
             single_block += 1
     elapsed = time.perf_counter() - start

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -13,20 +14,18 @@ from hypothesis import strategies as st
 from polarnet.annotate import (
     DEFAULT_TOPICS,
     NON_POLITICAL,
-    RETRIES,
     THEMES,
-    StanceLabel,
-    ThemeLabel,
+    annotate_stances,
     annotate_themes,
-    assign_topic,
-    classify_stance,
-    classify_theme,
+    annotate_topics,
     sample_user_posts,
     stance_store,
     theme_distribution,
+    theme_request,
     theme_store,
     topic_store,
 )
+from polarnet.cli import main
 from polarnet.errors import AnnotationError, TransportError
 from polarnet.ingest import PostRecord
 from polarnet.pipeline import (
@@ -34,8 +33,11 @@ from polarnet.pipeline import (
     annotate_post_topics,
     annotate_topic_stances,
     read_events,
+    write_posts,
 )
 from polarnet.providers import (
+    PROVIDER_TOKEN_ENV,
+    RETRIES,
     AnnotationRequest,
     HttpProvider,
     MockProvider,
@@ -43,7 +45,7 @@ from polarnet.providers import (
     annotate_with_retry,
     provider_from_spec,
 )
-from polarnet.templates import render_template, template_hash
+from polarnet.templates import load_template, template_hash
 
 UTC = timezone.utc
 TOPIC_BY_ID = {t.id: t for t in DEFAULT_TOPICS}
@@ -107,67 +109,88 @@ class ConcurrentProvider(MockProvider):
                 self.active -= 1
 
 
-class TestMockProvider:
-    def test_tariff_maps_to_economy(self):
-        label = classify_theme(post("p1", "new tariff schedule dropped"), MockProvider())
-        assert label.theme == "Economy, Trade & Labor"
+def label_themes(posts, tmp_path, provider=None):
+    store = theme_store(tmp_path / "themes.jsonl")
+    annotate_themes(posts, provider or MockProvider(), store)
+    return store.mapping()
 
-    def test_no_cue_is_non_political(self):
-        label = classify_theme(post("p1", "my cat sat on the keyboard"), MockProvider())
-        assert label.theme == NON_POLITICAL
+
+def label_topics(posts, tmp_path, provider=None):
+    provider = provider or MockProvider()
+    themes = label_themes(posts, tmp_path, provider)
+    store = topic_store(tmp_path / "topics.jsonl")
+    annotate_topics(posts, themes, provider, store)
+    return themes, store.mapping()
+
+
+def label_stance(user, sample, topic, tmp_path):
+    store = stance_store(tmp_path / "stances.jsonl")
+    annotate_stances({user: sample}, topic, MockProvider(), store, k=len(sample))
+    return store.mapping()
+
+
+class TestMockProvider:
+    def test_tariff_maps_to_economy(self, tmp_path):
+        labels = label_themes([post("p1", "new tariff schedule dropped")], tmp_path)
+        assert labels["p1"] == "Economy, Trade & Labor"
+
+    def test_no_cue_is_non_political(self, tmp_path):
+        labels = label_themes([post("p1", "my cat sat on the keyboard")], tmp_path)
+        assert labels["p1"] == NON_POLITICAL
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            classify_theme(post("p1", ""), MockProvider())
+            theme_request(post("p1", ""))
 
-    def test_zelensky_maps_to_russia_ukraine(self):
-        p = post("p1", "Zelensky spoke about kyiv today")
-        theme = classify_theme(p, MockProvider())
-        topic = assign_topic(p, theme, MockProvider())
-        assert topic.topic == "russia_ukraine"
+    def test_zelensky_maps_to_russia_ukraine(self, tmp_path):
+        _, topics = label_topics([post("p1", "Zelensky spoke about kyiv today")], tmp_path)
+        assert topics["p1"] == "russia_ukraine"
 
-    def test_no_topic_cue_falls_to_other(self):
+    def test_no_topic_cue_falls_to_other(self, tmp_path):
         p = post("p1", "the indictment was unsealed at the courthouse")
-        theme = classify_theme(p, MockProvider())
-        assert theme.theme == "Law, Crime & Justice"
-        assert assign_topic(p, theme, MockProvider()).topic == "other"
+        themes, topics = label_topics([p], tmp_path)
+        assert themes["p1"] == "Law, Crime & Justice"
+        assert topics["p1"] == "other"
 
-    def test_apolitical_post_has_no_topic(self):
-        p = post("p1", "sunset pics from the beach")
-        theme = classify_theme(p, MockProvider())
-        with pytest.raises(ValueError):
-            assign_topic(p, theme, MockProvider())
+    def test_apolitical_post_has_no_topic(self, tmp_path):
+        provider = ConcurrentProvider()
+        themes, topics = label_topics([post("p1", "sunset pics from the beach")], tmp_path,
+                                      provider)
+        assert themes["p1"] == NON_POLITICAL
+        # the topic pass never asks about a non-political post
+        assert topics == {}
+        assert len(provider.calls) == 1
 
-    def test_stance_majority_cue(self):
+    def test_stance_majority_cue(self, tmp_path):
         topic = TOPIC_BY_ID["russia_ukraine"]
         sample = [post(f"p{i}", "slava-ukraini, always") for i in range(7)]
         sample += [post(f"q{i}", "thinking about trains") for i in range(3)]
-        label = classify_stance("did:plc:u", sample, topic, MockProvider())
-        assert label == StanceLabel("did:plc:u", "russia_ukraine", "for")
+        labels = label_stance("did:plc:u", sample, topic, tmp_path)
+        assert labels == {("did:plc:u", "russia_ukraine"): "for"}
 
-    def test_stance_no_cue_is_neutral(self):
+    def test_stance_no_cue_is_neutral(self, tmp_path):
         topic = TOPIC_BY_ID["russia_ukraine"]
         sample = [post("p1", "sharing a recipe")]
-        assert classify_stance("u", sample, topic, MockProvider()).stance == "neutral"
+        assert label_stance("u", sample, topic, tmp_path)[("u", topic.id)] == "neutral"
 
-    def test_stance_anti_majority(self):
+    def test_stance_anti_majority(self, tmp_path):
         topic = TOPIC_BY_ID["trump_administration"]
         sample = [post(f"p{i}", "resist-agenda rally tonight") for i in range(5)]
-        assert classify_stance("u", sample, topic, MockProvider()).stance == "against"
+        assert label_stance("u", sample, topic, tmp_path)[("u", topic.id)] == "against"
 
 
 class TestRetries:
     def test_invalid_labels_retried_then_accepted(self):
-        provider = FlakyProvider(2, NON_POLITICAL)
+        provider = FlakyProvider(RETRIES - 1, NON_POLITICAL)
         request = AnnotationRequest("theme_v1", {"text": "x"}, THEMES)
-        assert annotate_with_retry(provider, request, retries=3) == NON_POLITICAL
-        assert provider.calls == 3
+        assert annotate_with_retry(provider, request) == NON_POLITICAL
+        assert provider.calls == RETRIES
 
     def test_exhausted_retries_raise(self):
         provider = FlakyProvider(99, NON_POLITICAL)
         request = AnnotationRequest("theme_v1", {"text": "x"}, THEMES)
         with pytest.raises(AnnotationError):
-            annotate_with_retry(provider, request, retries=3)
+            annotate_with_retry(provider, request)
 
     def test_batch_records_unlabeled(self, tmp_path):
         store = theme_store(tmp_path / "themes.jsonl")
@@ -276,12 +299,11 @@ class TestThemeDistribution:
 
     @given(st.lists(st.sampled_from(THEMES), min_size=1, max_size=60))
     def test_shares_sum_to_one_and_order_invariant(self, themes):
-        labels = [ThemeLabel(f"p{i}", t) for i, t in enumerate(themes)]
-        dist = theme_distribution(labels)
+        dist = theme_distribution(Counter(themes))
         assert abs(sum(dist.share_of_all.values()) - 1.0) < 1e-9
         if dist.political_total:
             assert abs(sum(dist.share_of_political.values()) - 1.0) < 1e-9
-        reordered = theme_distribution(list(reversed(labels)))
+        reordered = theme_distribution(Counter(reversed(themes)))
         assert reordered.share_of_all == dist.share_of_all
 
 
@@ -352,15 +374,12 @@ class TestLabelStore:
         assert template_hash("theme_v1") != template_hash("stance_v1")
 
     def test_render_template_substitutes(self):
-        text = render_template(
-            "stance_v1",
-            {
-                "topic": "russia_ukraine",
-                "texts": "- a\n- b",
-                "for_label": "supports_ukraine",
-                "neutral_label": "neutral",
-                "against_label": "supports_russia",
-            },
+        text = load_template("stance_v1").format(
+            topic="russia_ukraine",
+            texts="- a\n- b",
+            for_label="supports_ukraine",
+            neutral_label="neutral",
+            against_label="supports_russia",
         )
         assert "supports_ukraine" in text and "russia_ukraine" in text
 
@@ -425,6 +444,16 @@ class TestHttpProvider:
         provider = HttpProvider("http://127.0.0.1:9/annotate", timeout=0.5)
         with pytest.raises(TransportError):
             provider.annotate(AnnotationRequest("theme_v1", {"text": "x"}, THEMES))
+
+    def test_cli_annotate_sends_bearer_token(self, endpoint, tmp_path, monkeypatch):
+        monkeypatch.setenv(PROVIDER_TOKEN_ENV, "sekrit")
+        posts = tmp_path / "posts.jsonl"
+        write_posts(posts, [post("p1", "new tariff schedule dropped")])
+        url = f"http://127.0.0.1:{endpoint.server_address[1]}/annotate"
+        argv = ["annotate", "themes", "--input", str(posts), "--provider", url,
+                "--out", str(tmp_path / "labels")]
+        assert main(argv) == 0
+        assert [auth for auth, _ in endpoint.seen] == ["Bearer sekrit"]
 
     def test_provider_from_spec(self):
         assert isinstance(provider_from_spec("mock"), MockProvider)

@@ -252,6 +252,27 @@ class TestRunAndReport:
         err = capsys.readouterr().err
         assert "graph" in err
 
+    @pytest.mark.parametrize("change, code", [
+        (lambda dumps: {"inputs": str(dumps / "*.jsonl")}, 2),
+        (lambda dumps: {"inputs": [str(dumps)]}, 3),
+        (lambda dumps: {"downtime": [{"date": "2025-01-02"}]}, 2),
+        (lambda dumps: {"window": {"start": "2025-01-01"}}, 2),
+        (lambda dumps: {"stance_sample_k": "ten"}, 2),
+    ], ids=["inputs-string", "inputs-directory", "downtime-no-hours", "window-no-end",
+            "k-not-integer"])
+    def test_malformed_config_or_input_exit_code(self, workspace, tmp_path, capsys,
+                                                 change, code):
+        _, _, _, raw = workspace
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        (dumps / "events.jsonl").write_text("")
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(dict(raw, out_dir=str(tmp_path / "runs"),
+                                               **change(dumps))))
+        assert main(["run", "--config", str(config_path)]) == code
+        expected = "config error: " if code == 2 else "error: stage 'ingest'"
+        assert expected in capsys.readouterr().err
+
 
 def _tree(root, patterns):
     return {p.relative_to(root) for pattern in patterns for p in root.glob(pattern)}

@@ -182,15 +182,13 @@ class TestPersistence:
         assert loaded.events == g.events
         assert network_stats(loaded) == network_stats(g)
 
-    def test_multiplicity_graph_round_trip(self, tmp_path):
-        g = TopicNetwork("t", "reposts", None, {"A", "B", "C"},
-                         Counter({("B", "A"): 3, ("C", "A"): 1}))
-        ordered = write_nodes_tsv(g.nodes, tmp_path / "nodes.tsv")
-        index = {n: i for i, n in enumerate(ordered)}
-        save_graph(g, tmp_path / "g.graph", index)
-        loaded = load_graph(tmp_path / "g.graph", ordered, "t", "reposts")
-        assert loaded.multiplicity == g.multiplicity
-        assert loaded.nodes == g.nodes
+    @pytest.mark.parametrize("head", [b"", b"not a graph", b"PNETG1\x00M\x00\x00\x00\x00"],
+                             ids=["empty", "foreign", "multiplicity-mode"])
+    def test_other_files_rejected(self, tmp_path, head):
+        # a multiplicity-only file ("M") is no longer a graph file either
+        (tmp_path / "g.graph").write_bytes(head)
+        with pytest.raises(ValueError):
+            load_graph(tmp_path / "g.graph", [], "t", "reposts")
 
     def test_csv_export(self, tmp_path):
         g = TopicNetwork.from_events("t", "reposts", None, [EdgeRecord("B", "A", T0)])
@@ -198,12 +196,6 @@ class TestPersistence:
         lines = (tmp_path / "g.csv").read_text().splitlines()
         assert lines[0] == "source,target,timestamp"
         assert lines[1].startswith("B,A,2025-01-10")
-
-    def test_csv_export_without_events_repeats_multiplicities(self, tmp_path):
-        g = TopicNetwork("t", "reposts", None, {"A", "B"}, Counter({("B", "A"): 3}))
-        export_csv(g, tmp_path / "g.csv")
-        lines = (tmp_path / "g.csv").read_text().splitlines()
-        assert lines[1:] == ["B,A,", "B,A,", "B,A,"]
 
 
 class TestWindow:

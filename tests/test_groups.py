@@ -16,17 +16,12 @@ from polarnet.groups import (
     _undirected_adjacency,
     content_groups,
     description_length,
-    detect_structural_groups,
     detect_structural_groups_with_diagnostics,
     group_composition,
 )
-from polarnet.synthetic import (
-    erdos_renyi_graph,
-    planted_partition_graph,
-    two_clique_graph,
-)
+from polarnet.synthetic import erdos_renyi_graph, planted_partition_graph
 
-from oracles import nmi_direct, set_partitions
+from oracles import nmi_direct, set_partitions, two_clique_graph
 
 
 def net(edges, nodes=None, topic="t"):
@@ -110,7 +105,7 @@ class TestDescriptionLength:
 class TestDetection:
     def test_two_disconnected_cliques(self):
         g, planted = two_clique_graph(6)
-        part = detect_structural_groups(g, seed=3)
+        part = detect_structural_groups_with_diagnostics(g, seed=3)[0]
         assert part.b == 2
         blocks = {}
         for node, b in part.assignment.items():
@@ -122,18 +117,18 @@ class TestDetection:
 
     def test_planted_partition_recovered(self):
         g, labels = planted_partition_graph(200, 2, 0.1, 0.01, seed=11)
-        part = detect_structural_groups(g, seed=7)
+        part = detect_structural_groups_with_diagnostics(g, seed=7)[0]
         assert part.b == 2
         assert nmi_direct(part.assignment, labels) >= 0.95
 
     def test_structureless_graph_collapses_to_one_block(self):
         g = erdos_renyi_graph(200, 0.055, seed=13)
-        part = detect_structural_groups(g, seed=7)
+        part = detect_structural_groups_with_diagnostics(g, seed=7)[0]
         assert part.b == 1
 
     def test_three_block_structure_recovered(self):
         g, labels = planted_partition_graph(210, 3, 0.12, 0.01, seed=3)
-        part = detect_structural_groups(g, seed=103)
+        part = detect_structural_groups_with_diagnostics(g, seed=103)[0]
         assert part.b == 3
         assert nmi_direct(part.assignment, labels) >= 0.9
 
@@ -150,13 +145,16 @@ class TestDetection:
                     same = labels[nodes[i]] == labels[nodes[j]]
                     mult[(nodes[i], nodes[j])] = 6 if same else 1
         g = TopicNetwork("t", "reposts", None, set(nodes), mult)
-        assert detect_structural_groups(g, seed=5).b == 2
-        assert detect_structural_groups(g, seed=5, collapse_multigraph=True).b == 1
+        assert detect_structural_groups_with_diagnostics(g, seed=5)[0].b == 2
+        collapsed, _ = detect_structural_groups_with_diagnostics(
+            g, seed=5, collapse_multigraph=True
+        )
+        assert collapsed.b == 1
 
     def test_seed_determinism(self):
         g, _ = planted_partition_graph(80, 2, 0.15, 0.02, seed=5)
-        a = detect_structural_groups(g, runs=5, iters=20, seed=42)
-        b = detect_structural_groups(g, runs=5, iters=20, seed=42)
+        a = detect_structural_groups_with_diagnostics(g, runs=5, iters=20, seed=42)[0]
+        b = detect_structural_groups_with_diagnostics(g, runs=5, iters=20, seed=42)[0]
         assert a == b
 
     def test_returned_dl_is_best_of_runs(self):
@@ -182,17 +180,17 @@ class TestDetection:
         exhaustive = min(
             description_length(g, p) for p in set_partitions(nodes, 5)
         )
-        part = detect_structural_groups(g, max_groups=5, seed=2)
+        part = detect_structural_groups_with_diagnostics(g, max_groups=5, seed=2)[0]
         assert part.dl == pytest.approx(exhaustive, abs=1e-9)
 
     def test_empty_graph_rejected(self):
         g = TopicNetwork("t", "reposts", None, set(), Counter())
         with pytest.raises(ValueError):
-            detect_structural_groups(g, seed=0)
+            detect_structural_groups_with_diagnostics(g, seed=0)[0]
 
     def test_block_count_capped(self):
         g, _ = planted_partition_graph(60, 3, 0.3, 0.01, seed=8)
-        part = detect_structural_groups(g, max_groups=2, seed=1)
+        part = detect_structural_groups_with_diagnostics(g, max_groups=2, seed=1)[0]
         assert part.b <= 2
 
     @given(st.integers(0, 2**30))
@@ -209,13 +207,13 @@ class TestDetection:
         if not edges:
             edges = [(nodes[0], nodes[1])]
         g = net(edges, nodes=nodes)
-        part = detect_structural_groups(g, runs=3, iters=10, seed=seed)
+        part = detect_structural_groups_with_diagnostics(g, runs=3, iters=10, seed=seed)[0]
         baseline = description_length(g, {n: 0 for n in nodes})
         assert part.dl <= baseline + 1e-9
 
     def test_canonical_labels_start_at_zero(self):
         g, _ = planted_partition_graph(40, 2, 0.3, 0.02, seed=9)
-        part = detect_structural_groups(g, seed=5)
+        part = detect_structural_groups_with_diagnostics(g, seed=5)[0]
         seen = []
         for node in sorted(part.assignment):
             b = part.assignment[node]

@@ -406,28 +406,6 @@ class TestActivityStats:
         lost = sum((1.0 - f) * 24 for f in DEFAULT_DOWNTIME.values())
         assert lost == pytest.approx(69.0)
 
-    @given(st.integers(0, 6))
-    @settings(max_examples=20, deadline=None)
-    def test_shard_merge_matches_whole_stream(self, split):
-        lines = [
-            ev(did=f"did:plc:u{i % 3}", time=f"2025-01-0{1 + i % 5}T0{i % 10}:00:00Z",
-               collection=c)
-            for i, c in enumerate(
-                ["app.bsky.feed.post", "app.bsky.feed.like", "app.bsky.feed.repost"] * 4
-            )
-        ]
-        whole = StatsAccumulator(downtime={}).add_all(parse_stream(lines)).finalize()
-        left = StatsAccumulator(downtime={}).add_all(parse_stream(lines[:split]))
-        right = StatsAccumulator(downtime={}).add_all(parse_stream(lines[split:]))
-        left.merge(right)
-        merged = left.finalize()
-        assert merged.per_type == whole.per_type
-        assert merged.daily == whole.daily
-        # merge order does not matter
-        other = StatsAccumulator(downtime={}).add_all(parse_stream(lines[split:]))
-        other.merge(StatsAccumulator(downtime={}).add_all(parse_stream(lines[:split])))
-        assert other.finalize().per_type == whole.per_type
-
 
 class TestBuildPostRecords:
     def test_repost_count_from_stream(self):

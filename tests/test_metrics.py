@@ -20,9 +20,13 @@ from polarnet.metrics import (
     stance_metric_report,
     structural_metric_report,
 )
-from polarnet.synthetic import random_multigraph
-
-from oracles import aei_direct, assortativity_direct, coleman_direct, simpson_direct
+from oracles import (
+    aei_direct,
+    assortativity_direct,
+    coleman_direct,
+    random_multigraph,
+    simpson_direct,
+)
 
 TOPIC_BY_ID = {t.id: t for t in DEFAULT_TOPICS}
 
