@@ -207,6 +207,12 @@ class LabelStore:
         """Create the store if absent and open it for ``append`` until exit.
 
         The handle is flushed and closed on exit, also when the block raises.
+        Appending writes into an existing file, so this relies on the path
+        having just been unlinked, as the ``annotate_*`` helpers of
+        ``pipeline`` do: a store in a run directory may be a hard link shared
+        with a sibling run directory (``pipeline._reuse``), and an append
+        would change the sibling's store too. A resumed annotation must
+        therefore write a fresh store, not append to one that may be linked.
         """
         with self.path.open("a", encoding="utf-8") as fh:
             self._fh = fh

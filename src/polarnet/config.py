@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Optional, Union
@@ -113,6 +113,22 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
     return config_from_dict(raw)
 
 
+# each section field's annotation -> (what to call it, the JSON values it takes)
+_JSON_TYPES = {
+    "int": ("an integer", (int,)),
+    "float": ("a number", (int, float)),
+    "bool": ("true or false", (bool,)),
+    "str": ("a string", (str,)),
+    "Optional[str]": ("a string or null", (str, type(None))),
+}
+
+
+def _has_type(value, annotation: str) -> bool:
+    if isinstance(value, bool):  # a bool is an int to isinstance, never to a config
+        return annotation == "bool"
+    return isinstance(value, _JSON_TYPES[annotation][1])
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -148,6 +164,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         data = raw.get(name, {})
         if not isinstance(data, dict):
             raise ConfigError(f"{name} must be an object")
+        for f in fields(cls):
+            if f.name in data and not _has_type(data[f.name], f.type):
+                raise ConfigError(f"{name}.{f.name} must be {_JSON_TYPES[f.type][0]}, "
+                                  f"got {data[f.name]!r}")
         try:
             return cls(**data)
         except TypeError as exc:

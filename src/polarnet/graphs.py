@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from .files import open_new
 from .ingest import PostRecord, RepostEvent
 
 # format tag plus "E": the file holds one record per edge event
@@ -184,7 +185,7 @@ def network_stats(g: TopicNetwork) -> NetworkStats:
 
 def write_nodes_tsv(nodes: Iterable, path: Union[str, Path]) -> list:
     ordered = sorted(nodes)
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with open_new(path, encoding="utf-8") as fh:
         for i, node in enumerate(ordered):
             fh.write(f"{i}\t{node}\n")
     return ordered
@@ -210,7 +211,7 @@ def _from_epoch_us(us: int) -> datetime:
 
 def save_graph(g: TopicNetwork, path: Union[str, Path], node_index: Mapping) -> None:
     """Write ``g.events``, one record per edge; every pipeline graph is built from events."""
-    with Path(path).open("wb") as fh:
+    with open_new(path, "xb") as fh:
         fh.write(_MAGIC + struct.pack("<I", len(g.events)))
         for e in g.events:
             fh.write(
@@ -230,8 +231,11 @@ def load_graph(
     data = path.read_bytes()
     if data[: len(_MAGIC)] != _MAGIC:
         raise ValueError(f"{path} is not a graph file")
-    (count,) = struct.unpack_from("<I", data, len(_MAGIC))
     offset = len(_MAGIC) + 4
+    count = struct.unpack_from("<I", data, len(_MAGIC))[0] if len(data) >= offset else None
+    if count is None or len(data) != offset + 16 * count:
+        raise ValueError(f"{path} is {len(data)} bytes, not the length its edge count "
+                         f"gives; it is truncated or has trailing bytes")
     events = []
     for _ in range(count):
         s, t, us = struct.unpack_from("<IIq", data, offset)
@@ -241,7 +245,7 @@ def load_graph(
 
 
 def export_csv(g: TopicNetwork, path: Union[str, Path]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with open_new(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source", "target", "timestamp"])
         for e in g.events:

@@ -8,16 +8,18 @@ outputs of every earlier stage that has a manifest. A stage's manifest
 records the hashes of those inputs and of its own outputs, and the
 stage's key: the hash of the config fields it reads (``_READS``), the
 tool version and its input hashes. A stage is cached when its manifest
-has the current key and its outputs verify. On a miss the runner copies
-the outputs of the first sibling run directory under the same root whose
-manifest for the stage has that key and whose copies verify (a
-constructive trace, in the terms of Mokhov, Mitchell & Peyton Jones,
-"Build systems a la carte", ICFP 2018); only without one does the stage
-run. A stage refuses to run when an earlier stage's output changed or
-vanished behind that stage's manifest, or when that earlier stage ran on
-inputs that have changed since. Each manifest is loaded, and its outputs
-and inputs verified, once per ``run_pipeline`` call. The ``polarnet``
-stage subcommands call the same building blocks as the stages.
+has the current key and its outputs verify. On a miss the runner
+hard-links the outputs of the first sibling run directory under the same
+root whose manifest for the stage has that key and whose linked outputs
+verify (a constructive trace, in the terms of Mokhov, Mitchell & Peyton
+Jones, "Build systems a la carte", ICFP 2018); only without one does the
+stage run. Linked outputs are shared, never written through: every writer
+removes its path and creates a new file (``files.open_new``). A stage
+refuses to run when an earlier stage's output changed or vanished behind
+that stage's manifest, or when that earlier stage ran on inputs that have
+changed since. Each manifest is loaded, and its outputs and inputs
+verified, once per ``run_pipeline`` call. The ``polarnet`` stage
+subcommands call the same building blocks as the stages.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import glob
 import hashlib
 import json
 import logging
-import shutil
+import os
 import time
 from contextlib import closing
 from dataclasses import asdict, dataclass
@@ -56,6 +58,7 @@ from .config import (
 )
 from .crosstopic import alignment_matrix, jaccard_matrix, joint_stance_table, topic_hypergraph
 from .errors import ConfigError, HashMismatchError, PolarnetError, StageError
+from .files import open_new
 from .graphs import (
     build_bipartite,
     export_csv,
@@ -215,7 +218,7 @@ def sample_posts(posts: list, sample: SampleConfig, master_seed: int) -> list:
 
 def write_posts(path: Path, posts) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with open_new(path, encoding="utf-8") as fh:
         for p in posts:
             fh.write(post_to_json(p) + "\n")
 
@@ -227,7 +230,7 @@ def load_posts(path: Path) -> list:
 
 def write_reposts(path: Path, reposts) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with open_new(path, encoding="utf-8") as fh:
         for r in sorted(reposts, key=lambda r: (r.timestamp, r.reposter, r.subject_uri)):
             fh.write(repost_to_json(r) + "\n")
 
@@ -309,7 +312,7 @@ def load_topic_graph(topic_dir: Path, topic_id: str, window=None):
 
 def _write_assignment(path: Path, assignment: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with open_new(path, encoding="utf-8") as fh:
         for node in sorted(assignment):
             fh.write(f"{node}\t{assignment[node]}\n")
 
@@ -750,22 +753,28 @@ def stage_key(stage: str, fields: dict[str, str], inputs: dict[str, str]) -> str
     return hashlib.sha256("\0".join(parts).encode("utf-8")).hexdigest()
 
 
-def _inside(root: Path, rel: str) -> bool:
-    return (root / rel).resolve().is_relative_to(root.resolve())
+def _inside(root: Path, resolved_root: Path, rel: str) -> bool:
+    return (root / rel).resolve().is_relative_to(resolved_root)
 
 
 def _reuse(stage: str, key: str, run_dir: Path) -> Optional[StageManifest]:
-    """Copy a stage's outputs from a sibling run directory instead of running it.
+    """Hard-link a stage's outputs from a sibling run directory instead of
+    running it.
 
     Siblings are tried in sorted order; the first whose manifest has ``key``
-    and whose outputs, once copied, all match that manifest's hashes is
-    taken, and the manifest is written. Verifying the copies rather than
-    the sibling's files means no later rewrite of the sibling can slip
-    unchecked bytes in. A manifest naming a path outside either directory
-    is never copied from. Copies, not links: the writers truncate files in
-    place, so a later run in one directory would rewrite the other's bytes
-    through a link.
+    and whose outputs, once linked into ``run_dir``, all match that
+    manifest's hashes is taken, and the manifest is written. Verifying the
+    linked entries rather than the sibling's paths means no later rewrite of
+    the sibling can slip unchecked bytes in. A manifest naming a path
+    outside either directory is never linked from. A link that cannot be
+    made (another file system, say) or does not verify is removed and the
+    next sibling is tried; there is no copy fallback. Links are safe because
+    every writer replaces its file (``files.open_new``) instead of
+    truncating it, so a later run in one directory never rewrites another's
+    bytes. An edit made in place outside polarnet shows in every directory
+    that shares the file; each directory's next run finds it by hash.
     """
+    resolved_run_dir = run_dir.resolve()
     for sibling in sorted(run_dir.parent.iterdir()):
         if sibling == run_dir or not sibling.is_dir():
             continue
@@ -773,20 +782,29 @@ def _reuse(stage: str, key: str, run_dir: Path) -> Optional[StageManifest]:
             manifest = _load_manifest(sibling, stage)
         except (OSError, ValueError, TypeError):
             continue  # not a run directory this version can read
-        if manifest is None or manifest.key != key or not all(
-            _inside(sibling, rel) and _inside(run_dir, rel) for rel in manifest.outputs
+        if manifest is None or manifest.key != key:
+            continue
+        resolved_sibling = sibling.resolve()
+        if not all(
+            _inside(sibling, resolved_sibling, rel) and _inside(run_dir, resolved_run_dir, rel)
+            for rel in manifest.outputs
         ):
             continue
-        copied = []
+        linked = []
+        made: set[Path] = set()
         try:
             for rel in manifest.outputs:
-                (run_dir / rel).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copyfile(sibling / rel, run_dir / rel)
-                copied.append(run_dir / rel)
+                path = run_dir / rel
+                if path.parent not in made:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    made.add(path.parent)
+                path.unlink(missing_ok=True)
+                os.link(sibling / rel, path)
+                linked.append(path)
         except OSError:
-            pass  # a sibling output is gone; the check below refuses the copy
-        if len(copied) < len(manifest.outputs) or any(_stale_outputs(manifest, run_dir)):
-            for path in copied:
+            pass  # a sibling output is gone or cannot be linked; refused below
+        if len(linked) < len(manifest.outputs) or any(_stale_outputs(manifest, run_dir)):
+            for path in linked:
                 path.unlink()
             continue
         write_json(_manifest_path(run_dir, stage), asdict(manifest))
@@ -842,7 +860,7 @@ def run_pipeline(
     """Execute the requested stages in pipeline order.
 
     A stage is cached when its manifest has the stage's current key and
-    its outputs verify. Otherwise its outputs are copied from a sibling run
+    its outputs verify. Otherwise its outputs are linked from a sibling run
     directory with that key, or it runs. A requested stage whose upstream
     manifests are missing fails fast, naming the stage that must run first;
     one whose upstream outputs changed on disk is refused with a hash diff.

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Protocol, Union
 
-from .errors import AnnotationError, TransportError
+from .errors import AnnotationError, ConfigError, TransportError
 
 
 @dataclass(frozen=True)
@@ -285,4 +285,4 @@ def provider_from_spec(spec: str) -> AnnotationProvider:
         return MockProvider()
     if spec.startswith(("http://", "https://")):
         return HttpProvider(spec, token=os.environ.get(PROVIDER_TOKEN_ENV))
-    raise ValueError(f"provider must be 'mock' or an http(s) URL, got {spec!r}")
+    raise ConfigError(f"provider must be 'mock' or an http(s) URL, got {spec!r}")

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .annotate import theme_distribution, theme_store
 from .config import config_hash
+from .files import open_new
 
 DASH = "--"
 
@@ -81,15 +82,21 @@ def table5_row(r) -> list[str]:
 
 def write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with open_new(path, encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: Path, header: list, rows: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with open_new(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _copy(src: Path, dst: Path) -> None:
+    with src.open("rb") as fsrc, open_new(dst, "xb") as fdst:
+        shutil.copyfileobj(fsrc, fdst)
 
 
 def _pretty_table(title: str, header: list, rows: list) -> str:
@@ -221,7 +228,7 @@ def render_report(config, run_dir: Path):
             dst = report_dir / (
                 "table4_stance.csv" if name == "stance" else "table5_structural.csv"
             )
-            shutil.copyfile(src_path, dst)
+            _copy(src_path, dst)
             outputs.append(dst)
             with src_path.open(encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))[1:]
@@ -238,7 +245,7 @@ def render_report(config, run_dir: Path):
             if src_path.name == "skipped.json":
                 continue
             dst = report_dir / src_path.name
-            shutil.copyfile(src_path, dst)
+            _copy(src_path, dst)
             outputs.append(dst)
             copied = True
     sections["crosstopic"] = "ok" if copied else "missing"
@@ -252,6 +259,7 @@ def render_report(config, run_dir: Path):
     outputs.append(summary_path)
 
     text_path = report_dir / "report.txt"
-    text_path.write_text("\n".join(pretty), encoding="utf-8")
+    with open_new(text_path, encoding="utf-8") as fh:
+        fh.write("\n".join(pretty))
     outputs.append(text_path)
     return outputs

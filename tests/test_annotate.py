@@ -26,7 +26,7 @@ from polarnet.annotate import (
     topic_store,
 )
 from polarnet.cli import main
-from polarnet.errors import AnnotationError, TransportError
+from polarnet.errors import AnnotationError, ConfigError, TransportError
 from polarnet.ingest import PostRecord
 from polarnet.pipeline import (
     annotate_post_themes,
@@ -458,5 +458,13 @@ class TestHttpProvider:
     def test_provider_from_spec(self):
         assert isinstance(provider_from_spec("mock"), MockProvider)
         assert isinstance(provider_from_spec("http://x/y"), HttpProvider)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             provider_from_spec("ftp://nope")
+
+    def test_cli_annotate_rejects_other_provider_spec(self, tmp_path, capsys):
+        posts = tmp_path / "posts.jsonl"
+        write_posts(posts, [post("p1", "new tariff schedule dropped")])
+        argv = ["annotate", "themes", "--input", str(posts), "--provider", "ftp://x",
+                "--out", str(tmp_path / "labels")]
+        assert main(argv) == 2
+        assert "ftp://x" in capsys.readouterr().err

@@ -273,6 +273,21 @@ class TestRunAndReport:
         expected = "config error: " if code == 2 else "error: stage 'ingest'"
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("sample", "fraction", "half"),
+        ("detection", "max_groups", "five"),
+    ])
+    def test_section_field_of_wrong_type_exit_code(self, workspace, tmp_path, capsys,
+                                                   section, field, value):
+        # the real dump, so a value that got past the config would reach its stage
+        _, _, _, raw = workspace
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(dict(raw, out_dir=str(tmp_path / "runs"),
+                                               **{section: {field: value}})))
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert f"config error: {section}.{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 def _tree(root, patterns):
     return {p.relative_to(root) for pattern in patterns for p in root.glob(pattern)}

@@ -190,6 +190,15 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_graph(tmp_path / "g.graph", [], "t", "reposts")
 
+    @pytest.mark.parametrize("body", [b"", b"\x05\x00", b"\x05\x00\x00\x00",
+                                      b"\x01\x00\x00\x00" + bytes(17)],
+                             ids=["no-count", "short-count", "count-5-no-edges", "trailing"])
+    def test_length_must_match_edge_count(self, tmp_path, body):
+        path = tmp_path / "g.graph"
+        path.write_bytes(b"PNETG1\x00E" + body)
+        with pytest.raises(ValueError, match="g.graph"):
+            load_graph(path, ["A", "B"], "t", "reposts")
+
     def test_csv_export(self, tmp_path):
         g = TopicNetwork.from_events("t", "reposts", None, [EdgeRecord("B", "A", T0)])
         export_csv(g, tmp_path / "g.csv")

@@ -25,6 +25,7 @@ from polarnet.config import (
 from polarnet.errors import ConfigError, HashMismatchError, StageError
 from polarnet import pipeline
 from polarnet.pipeline import run_dir_for, run_pipeline
+from polarnet.report import write_json
 
 
 def walk_files(root: Path, skip=("manifests",)):
@@ -665,6 +666,41 @@ class TestStageKeys:
         assert all(m.cached for m in again)
         assert caplog.messages == [f"stage {stage}: cached" for stage in STAGES]
 
+    def test_reused_outputs_are_links_to_the_siblings(self, slice_bases, tmp_path):
+        base = slice_bases[1]["whole"]
+        root = in_root_of(base, tmp_path / "root")
+        sibling = run_dir_for(base, root)
+        changed = replace(base, metrics=replace(base.metrics, hypergraph_threshold=0.5))
+        manifests = run_pipeline(changed, run_root=root)
+        run_dir = run_dir_for(changed, root)
+        for m in manifests:
+            for rel in m.outputs:
+                linked = os.path.samefile(run_dir / rel, sibling / rel)
+                assert linked == (m.stage in STAGES[:4]), (m.stage, rel)
+
+    def test_writers_replace_linked_outputs(self, slice_bases, tmp_path, monkeypatch):
+        # Every stage runs in a directory whose files are all hard links to
+        # a sibling's. A writer that wrote into an existing file would keep
+        # the link and rewrite the sibling's bytes.
+        base = slice_bases[1]["whole"]
+        root = in_root_of(base, tmp_path / "root")
+        sibling = run_dir_for(base, root)
+        changed = replace(base, metrics=replace(base.metrics, hypergraph_threshold=0.5))
+        run_dir = run_dir_for(changed, root)
+        shutil.copytree(sibling, run_dir, copy_function=os.link,
+                        ignore=shutil.ignore_patterns("manifests"))
+        monkeypatch.setattr(pipeline, "_reuse", lambda *args: None)
+        assert ran(run_pipeline(changed, run_root=root)) == list(STAGES)
+
+        for rel in walk_files(sibling):
+            assert not os.path.samefile(run_dir / rel, sibling / rel), rel
+        for stage in STAGES:
+            manifest = pipeline._load_manifest(sibling, stage)
+            assert pipeline._stale_outputs(manifest, sibling) == ([], []), stage
+        assert all(m.cached for m in run_pipeline(base, run_root=root))
+        run_pipeline(changed, run_root=tmp_path / "cold")
+        assert tree_bytes(run_dir) == tree_bytes(run_dir_for(changed, tmp_path / "cold"))
+
     def test_sibling_with_a_tampered_output_is_not_copied(self, slice_bases, tmp_path):
         base = slice_bases[1]["whole"]
         root = in_root_of(base, tmp_path / "root")
@@ -710,6 +746,18 @@ class TestStageKeys:
         run_pipeline(changed, run_root=tmp_path / "cold")
         assert tree_bytes(run_dir_for(changed, root)) == tree_bytes(
             run_dir_for(changed, tmp_path / "cold"))
+
+
+def test_writer_follows_a_symbolic_link_the_caller_chose(tmp_path):
+    # as for /dev/stdout: only a regular file is replaced, anything else is
+    # where the output was sent
+    target = tmp_path / "target.json"
+    target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "out.json"
+    link.symlink_to(target)
+    write_json(link, {"a": 1})
+    assert link.is_symlink()
+    assert json.loads(target.read_text(encoding="utf-8")) == {"a": 1}
 
 
 # sha256 of every file outside manifests/ for a cold run of the c8 fixture
