@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import AnnotationError
+from .files import open_new
 from .ingest import PostRecord
 from .providers import AnnotationProvider, AnnotationRequest, annotate_in_order
 from .templates import template_hash
@@ -189,10 +190,11 @@ def theme_distribution(counts: Mapping[str, int]) -> ThemeDistribution:
 
 
 class LabelStore:
-    """Append-only, line-delimited JSON label store with a closed vocabulary.
+    """Line-delimited JSON label store with a closed vocabulary.
 
-    Writes are serialized by a lock; readers just scan the file. Each
-    record carries the template hash of the prompt that produced it.
+    Each ``writing()`` starts a fresh store. Writes are serialized by a
+    lock; readers just scan the file. Each record carries the template hash
+    of the prompt that produced it.
     """
 
     def __init__(self, path: Union[str, Path], vocab: Iterable[str], key_field: str):
@@ -204,17 +206,11 @@ class LabelStore:
 
     @contextmanager
     def writing(self):
-        """Create the store if absent and open it for ``append`` until exit.
+        """Start a fresh store and hold it open for ``append`` until exit.
 
         The handle is flushed and closed on exit, also when the block raises.
-        Appending writes into an existing file, so this relies on the path
-        having just been unlinked, as the ``annotate_*`` helpers of
-        ``pipeline`` do: a store in a run directory may be a hard link shared
-        with a sibling run directory (``pipeline._reuse``), and an append
-        would change the sibling's store too. A resumed annotation must
-        therefore write a fresh store, not append to one that may be linked.
         """
-        with self.path.open("a", encoding="utf-8") as fh:
+        with open_new(self.path, encoding="utf-8") as fh:
             self._fh = fh
             try:
                 yield self
@@ -297,7 +293,7 @@ def _label_in_order(
 
     Each label is stored by ``append(key, label, template_hash, timestamp)``.
     Items are drawn as requests are sent, so only those in flight are held.
-    The store is created if absent and kept open for the whole batch. An
+    The store is started afresh and kept open for the whole batch. An
     item whose labels stayed outside the closed set is recorded as
     skipped; a TransportError propagates after the labels before the
     failing item were stored.

@@ -14,14 +14,19 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .annotate import DEFAULT_TOPICS, OTHER_TOPIC, theme_store, topic_store
+from .annotate import (
+    DEFAULT_TOPICS,
+    OTHER_TOPIC,
+    annotate_themes,
+    annotate_topics,
+    theme_store,
+    topic_store,
+)
 from .config import STAGES, DetectionConfig, FilterConfig, SampleConfig, load_config
 from .errors import ConfigError, PolarnetError
 from .graphs import network_stats, parse_window
 from .groups import Partition, StanceGrouping, group_composition
 from .pipeline import (
-    annotate_post_themes,
-    annotate_post_topics,
     annotate_topic_stances,
     filter_posts,
     input_files,
@@ -88,14 +93,12 @@ def cmd_ingest_sample(args):
 def cmd_annotate(args):
     provider = provider_from_spec(args.provider)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     posts = load_posts(Path(args.input))
     if args.what == "themes":
-        outcome = annotate_post_themes(posts, provider, out / "themes.jsonl")
+        outcome = annotate_themes(posts, provider, theme_store(out / "themes.jsonl"))
     elif args.what == "topics":
         themes = theme_store(args.themes).mapping()
-        outcome = annotate_post_topics(posts, themes, provider, out / "topics.jsonl",
-                                       DEFAULT_TOPICS)
+        outcome = annotate_topics(posts, themes, provider, topic_store(out / "topics.jsonl"))
     else:
         return _annotate_stances(args, posts, provider, out)
     print(f"labeled {outcome.labeled}, skipped {len(outcome.skipped)}")

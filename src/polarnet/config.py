@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .annotate import DEFAULT_TOPICS, TopicSpec
+from .crosstopic import NMI_NORMALIZATIONS
 from .errors import ConfigError
 from .ingest import DEFAULT_DOWNTIME
 
@@ -168,14 +169,27 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             if f.name in data and not _has_type(data[f.name], f.type):
                 raise ConfigError(f"{name}.{f.name} must be {_JSON_TYPES[f.type][0]}, "
                                   f"got {data[f.name]!r}")
+        # stored as float, so 1 and 1.0 are one setting and hash alike
+        floats = {f.name for f in fields(cls) if f.type == "float"}
         try:
-            return cls(**data)
+            return cls(**{k: float(v) if k in floats else v for k, v in data.items()})
         except TypeError as exc:
             raise ConfigError(f"bad {name} section: {exc}") from exc
 
     sample = section("sample", SampleConfig)
     if not 0.0 < sample.fraction <= 1.0:
         raise ConfigError("sample.fraction must be in (0, 1]")
+
+    provider = section("provider", ProviderConfig)
+    if provider.kind not in ("mock", "http"):
+        raise ConfigError(f"provider.kind must be 'mock' or 'http', got {provider.kind!r}")
+
+    metrics = section("metrics", MetricFlags)
+    if not 0.0 < metrics.hypergraph_threshold < 1.0:
+        raise ConfigError("metrics.hypergraph_threshold must be in (0, 1)")
+    if metrics.nmi_normalization not in NMI_NORMALIZATIONS:
+        raise ConfigError(f"metrics.nmi_normalization must be one of "
+                          f"{', '.join(NMI_NORMALIZATIONS)}, got {metrics.nmi_normalization!r}")
 
     downtime = dict(DEFAULT_DOWNTIME)
     if "downtime" in raw:
@@ -205,10 +219,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         window=window,
         filters=section("filters", FilterConfig),
         sample=sample,
-        provider=section("provider", ProviderConfig),
+        provider=provider,
         topics=topics,
         detection=section("detection", DetectionConfig),
-        metrics=section("metrics", MetricFlags),
+        metrics=metrics,
         stance_sample_k=stance_sample_k,
         annotate_on=annotate_on,
         downtime=downtime,

@@ -16,6 +16,13 @@ from .graphs import TopicNetwork
 
 STANCE_ORDER = ("for", "neutral", "against")
 
+# each NMI normalization's denominator, from the two groupings' entropies
+NMI_NORMALIZATIONS = {
+    "mean": lambda h_x, h_y: (h_x + h_y) / 2.0,
+    "min": min,
+    "max": max,
+}
+
 
 @dataclass
 class OverlapMatrix:
@@ -149,6 +156,8 @@ def nmi_alignment(
     users, None when fewer than two users are shared. ``normalization``
     picks the denominator: mean (default), min, or max of the entropies.
     """
+    if normalization not in NMI_NORMALIZATIONS:
+        raise ValueError(f"unknown normalization {normalization!r}")
     shared = set(gx) & set(gy)
     n = len(shared)
     if n < 2:
@@ -169,15 +178,7 @@ def nmi_alignment(
         p_xy = c / n
         info += p_xy * math.log(p_xy * n * n / (mx[a] * my[b]))
     info = max(info, 0.0)
-    if normalization == "mean":
-        denom = (h_x + h_y) / 2.0
-    elif normalization == "min":
-        denom = min(h_x, h_y)
-    elif normalization == "max":
-        denom = max(h_x, h_y)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    return min(info / denom, 1.0)
+    return min(info / NMI_NORMALIZATIONS[normalization](h_x, h_y), 1.0)
 
 
 def alignment_matrix(

@@ -2,8 +2,9 @@
 
 A run directory can share an output with a sibling run directory through a
 hard link (see ``pipeline._reuse``). Writing into an existing file would
-then rewrite the sibling's bytes as well, so every writer replaces its
-file: it removes the path and creates a new one.
+then rewrite the sibling's bytes as well, so every writer, label stores
+included, opens its output through ``open_new``: it creates the directory
+when the path is new and replaces the file when it is not.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Union
 
 
 def open_new(path: Union[str, Path], mode: str = "x", **kwargs):
-    """Open a new file at ``path`` in place of the regular file there, if any.
+    """Open a new file at ``path``: create its directory when the path is
+    new, or remove the regular file there first.
 
     ``mode`` is an exclusive-create mode ("x" or "xb"), so a file that
     appears between the removal and the open is an error, never a
@@ -28,5 +30,5 @@ def open_new(path: Union[str, Path], mode: str = "x", **kwargs):
             return path.open(mode.replace("x", "w"), **kwargs)
         path.unlink()
     except FileNotFoundError:
-        pass
+        path.parent.mkdir(parents=True, exist_ok=True)
     return path.open(mode, **kwargs)

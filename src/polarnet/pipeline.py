@@ -217,7 +217,6 @@ def sample_posts(posts: list, sample: SampleConfig, master_seed: int) -> list:
 
 
 def write_posts(path: Path, posts) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open_new(path, encoding="utf-8") as fh:
         for p in posts:
             fh.write(post_to_json(p) + "\n")
@@ -229,7 +228,6 @@ def load_posts(path: Path) -> list:
 
 
 def write_reposts(path: Path, reposts) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open_new(path, encoding="utf-8") as fh:
         for r in sorted(reposts, key=lambda r: (r.timestamp, r.reposter, r.subject_uri)):
             fh.write(repost_to_json(r) + "\n")
@@ -238,18 +236,6 @@ def write_reposts(path: Path, reposts) -> None:
 def load_reposts(path: Path) -> list:
     with path.open(encoding="utf-8") as fh:
         return [repost_from_json(line) for line in fh if line.strip()]
-
-
-def annotate_post_themes(posts: list, provider, path: Path):
-    """Label every post's theme into a fresh store at ``path``."""
-    path.unlink(missing_ok=True)
-    return annotate_themes(posts, provider, theme_store(path))
-
-
-def annotate_post_topics(posts: list, themes: dict, provider, path: Path, topics):
-    """Label every political post's parent topic into a fresh store at ``path``."""
-    path.unlink(missing_ok=True)
-    return annotate_topics(posts, themes, provider, topic_store(path, topics), topics)
 
 
 def annotate_topic_stances(spec, by_uri: dict, reposts: list, topic_map: dict, provider,
@@ -267,7 +253,6 @@ def annotate_topic_stances(spec, by_uri: dict, reposts: list, topic_map: dict, p
         if topic_map.get(r.subject_uri) == spec.id and r.subject_uri in by_uri:
             corpora.setdefault(r.reposter, []).append(by_uri[r.subject_uri])
     path = labels_dir / f"stances_{spec.id}.jsonl"
-    path.unlink(missing_ok=True)
     outcome = annotate_stances(
         corpora, spec, provider, stance_store(path),
         k=k, seed=stage_seed(master_seed, f"annotate.stances.{spec.id}"),
@@ -298,7 +283,6 @@ def write_topic_graph(posts: dict, reposts: list, topic_map: dict, topic_id: str
     if stats.edges == 0:
         return row, []
     topic_dir = graphs_dir / topic_id / window_dirname(window)
-    topic_dir.mkdir(parents=True, exist_ok=True)
     ordered = write_nodes_tsv(g.nodes, topic_dir / "nodes.tsv")
     save_graph(g, topic_dir / "reposts.graph", {n: i for i, n in enumerate(ordered)})
     export_csv(g, topic_dir / "reposts.csv")
@@ -311,7 +295,6 @@ def load_topic_graph(topic_dir: Path, topic_id: str, window=None):
 
 
 def _write_assignment(path: Path, assignment: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open_new(path, encoding="utf-8") as fh:
         for node in sorted(assignment):
             fh.write(f"{node}\t{assignment[node]}\n")
@@ -414,16 +397,14 @@ def stage_annotate(config: PipelineConfig, run_dir: Path):
     provider = provider_from_spec(config.provider.spec_string())
 
     labels_dir = run_dir / "labels"
-    labels_dir.mkdir(parents=True, exist_ok=True)
-    themes_path = labels_dir / "themes.jsonl"
-    topics_path = labels_dir / "topics.jsonl"
-    annotate_post_themes(posts, provider, themes_path)
-    annotate_post_topics(posts, theme_store(themes_path).mapping(), provider, topics_path,
-                         config.topics)
-    topic_map = topic_store(topics_path, config.topics).mapping()
+    themes = theme_store(labels_dir / "themes.jsonl")
+    topics = topic_store(labels_dir / "topics.jsonl", config.topics)
+    annotate_themes(posts, provider, themes)
+    annotate_topics(posts, themes.mapping(), provider, topics, config.topics)
+    topic_map = topics.mapping()
 
     by_uri = {p.uri: p for p in posts}
-    outputs = [themes_path, topics_path]
+    outputs = [themes.path, topics.path]
     for spec in config.topics:
         path, _ = annotate_topic_stances(spec, by_uri, reposts, topic_map, provider,
                                          labels_dir, config.stance_sample_k, config.seed)
@@ -467,10 +448,10 @@ def _topic_paths(config: PipelineConfig, run_dir: Path, topic_id: str):
 
 
 def _load_topic_results(config: PipelineConfig, run_dir: Path, topic_id: str):
-    """A topic's network, partition and stances."""
-    graph_dir, group_dir, stance_path = _topic_paths(config, run_dir, topic_id)
+    """A topic's network, partition and content groups (its nodes' stances)."""
+    graph_dir, group_dir, _ = _topic_paths(config, run_dir, topic_id)
     g = load_topic_graph(graph_dir, topic_id, config.window)
-    return g, load_partition(group_dir), load_stances(stance_path)
+    return g, load_partition(group_dir), read_assignment(group_dir / "content.tsv")
 
 
 def _write_matrix(path: Path, m) -> None:
@@ -500,8 +481,8 @@ def stage_metrics(config: PipelineConfig, run_dir: Path):
     outputs = []
     for topic_id in _graph_topics(run_dir):
         spec = config.topic_by_id(topic_id)
-        g, partition, stances = _load_topic_results(config, run_dir, topic_id)
-        grouping = content_groups(stances, g)
+        g, partition, content = _load_topic_results(config, run_dir, topic_id)
+        grouping = content_groups(content, g)
         s_report = stance_metric_report(
             g, grouping, spec,
             include_neutral=config.metrics.include_neutral,
@@ -571,9 +552,9 @@ def stage_crosstopic(config: PipelineConfig, run_dir: Path):
     stance_groupings = {}
     structural_groupings = {}
     for topic_id in topics:
-        g, partition, stances = _load_topic_results(config, run_dir, topic_id)
+        g, partition, content = _load_topic_results(config, run_dir, topic_id)
         networks.append(g)
-        stance_groupings[topic_id] = {u: s for u, s in stances.items() if u in g.nodes}
+        stance_groupings[topic_id] = content
         structural_groupings[topic_id] = partition.assignment
 
     overlap = jaccard_matrix(networks)

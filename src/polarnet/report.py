@@ -81,13 +81,11 @@ def table5_row(r) -> list[str]:
 
 
 def write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open_new(path, encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: Path, header: list, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open_new(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -119,7 +117,6 @@ def render_report(config, run_dir: Path):
     a partial pipeline still yields a valid (partial) bundle.
     """
     report_dir = run_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     sections: dict[str, str] = {}
     pretty: list[str] = []

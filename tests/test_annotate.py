@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import sys
 import threading
@@ -29,8 +30,6 @@ from polarnet.cli import main
 from polarnet.errors import AnnotationError, ConfigError, TransportError
 from polarnet.ingest import PostRecord
 from polarnet.pipeline import (
-    annotate_post_themes,
-    annotate_post_topics,
     annotate_topic_stances,
     read_events,
     write_posts,
@@ -204,10 +203,9 @@ class TestRetries:
 class TestConcurrentAnnotation:
     @staticmethod
     def label_all(posts, reposts, provider, out):
-        out.mkdir()
-        annotate_post_themes(posts, provider, out / "themes.jsonl")
+        annotate_themes(posts, provider, theme_store(out / "themes.jsonl"))
         themes = theme_store(out / "themes.jsonl").mapping()
-        annotate_post_topics(posts, themes, provider, out / "topics.jsonl", DEFAULT_TOPICS)
+        annotate_topics(posts, themes, provider, topic_store(out / "topics.jsonl"))
         topic_map = topic_store(out / "topics.jsonl").mapping()
         by_uri = {p.uri: p for p in posts}
         for spec in DEFAULT_TOPICS:
@@ -349,6 +347,18 @@ class TestLabelStore:
         }
         raw = (tmp_path / "stances.jsonl").read_text().splitlines()
         assert json.loads(raw[0])["template_hash"] == "abc123"
+
+    def test_writing_replaces_a_linked_store(self, tmp_path):
+        # a store in a run directory may be a hard link to a sibling's
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text('{"post_uri":"p0","label":"Non-Political"}\n', encoding="utf-8")
+        os.link(a, b)
+        before = a.read_bytes()
+        store = theme_store(b)
+        with store.writing():
+            store.append("p1", NON_POLITICAL, "h", "2025-01-05T00:00:00+00:00")
+        assert a.read_bytes() == before
+        assert [r["post_uri"] for r in store.load()] == ["p1"]
 
     def test_out_of_vocabulary_rejected(self, tmp_path):
         store = theme_store(tmp_path / "themes.jsonl")

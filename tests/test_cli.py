@@ -288,6 +288,23 @@ class TestRunAndReport:
         assert f"config error: {section}.{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("section, settings", [
+        ("metrics", {"nmi_normalization": "median"}),
+        ("metrics", {"hypergraph_threshold": 1}),
+        ("provider", {"kind": "mok", "url": "http://127.0.0.1:9/x"}),
+    ], ids=["nmi-normalization", "hypergraph-threshold", "provider-kind"])
+    def test_setting_a_stage_would_reject_exit_code(self, workspace, tmp_path, capsys,
+                                                    section, settings):
+        # each was once accepted here and refused, or misread, by a later stage
+        _, _, _, raw = workspace
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(dict(raw, out_dir=str(tmp_path / "runs"),
+                                               **{section: settings})))
+        assert main(["run", "--config", str(config_path)]) == 2
+        field = next(iter(settings))
+        assert f"config error: {section}.{field} must be" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("manifests"))
+
 
 def _tree(root, patterns):
     return {p.relative_to(root) for pattern in patterns for p in root.glob(pattern)}

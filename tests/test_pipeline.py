@@ -452,6 +452,14 @@ class TestConfig:
         again = config_from_dict(config_to_dict(config))
         assert config_hash(again) == config_hash(config)
 
+    def test_float_field_spelled_as_integer_is_the_same_config(self):
+        base = {"inputs": ["x"], "out_dir": "o", "seed": 1}
+        one, one_point_zero = (config_from_dict(dict(base, sample={"fraction": value}))
+                               for value in (1, 1.0))
+        assert config_hash(one) == config_hash(one_point_zero)
+        assert (pipeline.stage_key("ingest", pipeline.config_json(one), {})
+                == pipeline.stage_key("ingest", pipeline.config_json(one_point_zero), {}))
+
     def test_documented_example_config_loads(self):
         docs = Path(__file__).parent.parent / "docs"
         config = load_config(docs / "config_example.json")
@@ -746,6 +754,11 @@ class TestStageKeys:
         run_pipeline(changed, run_root=tmp_path / "cold")
         assert tree_bytes(run_dir_for(changed, root)) == tree_bytes(
             run_dir_for(changed, tmp_path / "cold"))
+
+
+def test_writer_creates_the_directory_of_a_new_path(tmp_path):
+    write_json(tmp_path / "a" / "b" / "out.json", {"a": 1})
+    assert json.loads((tmp_path / "a" / "b" / "out.json").read_text()) == {"a": 1}
 
 
 def test_writer_follows_a_symbolic_link_the_caller_chose(tmp_path):
