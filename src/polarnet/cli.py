@@ -11,7 +11,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .annotate import (
@@ -22,7 +22,8 @@ from .annotate import (
     theme_store,
     topic_store,
 )
-from .config import STAGES, DetectionConfig, FilterConfig, SampleConfig, load_config
+from .config import (STAGES, DetectionConfig, FilterConfig, SampleConfig, config_from_dict,
+                     config_to_dict, load_config)
 from .errors import ConfigError, PolarnetError
 from .graphs import network_stats, parse_window
 from .groups import Partition, StanceGrouping, group_composition
@@ -226,11 +227,11 @@ def cmd_metrics_report(args):
 def cmd_crosstopic(args):
     config = load_config(args.config)
     if args.threshold is not None:
-        # a changed threshold gets its own run directory; the stages that do
-        # not read it are copied from the default one
-        config = replace(
-            config, metrics=replace(config.metrics, hypergraph_threshold=args.threshold)
-        )
+        # checked as in a config file; the changed config gets its own run
+        # directory, and the stages that do not read it are copied
+        raw = config_to_dict(config)
+        raw["metrics"] = dict(raw["metrics"], hypergraph_threshold=args.threshold)
+        config = config_from_dict(raw)
     cross = _run_through("crosstopic", config, args) / "crosstopic"
     name = {
         "overlap": "overlap.csv",

@@ -197,7 +197,11 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         try:
             for entry in raw["downtime"]:
                 day = date.fromisoformat(entry["date"])
-                downtime[day] = float(entry["observed_hours"]) / 24.0
+                hours = entry["observed_hours"]
+                if not (_has_type(hours, "float") and 0 <= hours <= 24):
+                    raise ConfigError(f"downtime[].observed_hours must be a number in "
+                                      f"[0, 24], got {hours!r}")
+                downtime[day] = hours / 24.0
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
                 f"downtime must list {{'date', 'observed_hours'}} entries: {exc!r}"
@@ -207,10 +211,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if annotate_on not in ("filtered", "sampled"):
         raise ConfigError("annotate_on must be 'filtered' or 'sampled'")
 
-    try:
-        stance_sample_k = int(raw.get("stance_sample_k", 10))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"stance_sample_k must be an integer: {exc}") from exc
+    stance_sample_k = raw.get("stance_sample_k", 10)
+    if not (_has_type(stance_sample_k, "int") and stance_sample_k >= 1):
+        raise ConfigError(f"stance_sample_k must be an integer of at least 1, "
+                          f"got {stance_sample_k!r}")
 
     return PipelineConfig(
         inputs=list(inputs),

@@ -63,15 +63,6 @@ class JointStanceTable:
     n_shared: int
     order: tuple[str, str, str] = STANCE_ORDER
 
-    def cell(self, stance_x: str, stance_y: str) -> float:
-        return self.values[self.order.index(stance_x)][self.order.index(stance_y)]
-
-    def marginal_x(self) -> list[float]:
-        return [sum(row) for row in self.values]
-
-    def marginal_y(self) -> list[float]:
-        return [sum(row[j] for row in self.values) for j in range(len(self.order))]
-
 
 def jaccard(v_x: set, v_y: set) -> Optional[float]:
     union = len(v_x | v_y)

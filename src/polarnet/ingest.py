@@ -208,11 +208,6 @@ class StatsAccumulator:
         self._counts[event.collection][day] += 1
         self._authors[event.collection][day].add(event.author)
 
-    def add_all(self, events: Iterable[RawEvent]) -> "StatsAccumulator":
-        for event in events:
-            self.add(event)
-        return self
-
     def _observed_days(self, window: Optional[tuple[date, date]]) -> float:
         if window is None:
             return 0.0

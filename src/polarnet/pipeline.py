@@ -2,28 +2,30 @@
 
 Runs the stage sequence ingest -> annotate -> graph -> groups -> metrics
 -> crosstopic -> report inside a run directory named by the config hash.
-Only the runner knows what a stage may read: ingest reads the files that
-the config's input globs match now, and every later stage may read the
-outputs of every earlier stage that has a manifest. A stage's manifest
-records the hashes of those inputs and of its own outputs, and the
-stage's key: the hash of the config fields it reads (``_READS``), the
-tool version and its input hashes. A stage is cached when its manifest
-has the current key and its outputs verify. On a miss the runner
-hard-links the outputs of the first sibling run directory under the same
-root whose manifest for the stage has that key and whose linked outputs
-verify (a constructive trace, in the terms of Mokhov, Mitchell & Peyton
-Jones, "Build systems a la carte", ICFP 2018); only without one does the
-stage run. Linked outputs are shared, never written through: every writer
-removes its path and creates a new file (``files.open_new``). A stage
-refuses to run when an earlier stage's output changed or vanished behind
-that stage's manifest, or when that earlier stage ran on inputs that have
-changed since. Each manifest is loaded, and its outputs and inputs
-verified, once per ``run_pipeline`` call. The ``polarnet`` stage
-subcommands call the same building blocks as the stages.
+Only the runner knows what a stage reads (``_STAGE_READS``): ingest
+reads the files that the config's input globs match now, and every later
+stage reads only the config fields and the output paths of earlier
+stages that it declares. A stage's manifest records the hashes of those
+inputs and of its own outputs, and the stage's key: the hash of the
+config fields it reads, the tool version and its input hashes. A stage
+is cached when its manifest has the current key and its outputs verify.
+On a miss the runner hard-links the outputs of the first sibling run
+directory under the same root whose manifest for the stage has that key
+and whose linked outputs verify (a constructive trace, in the terms of
+Mokhov, Mitchell & Peyton Jones, "Build systems a la carte", ICFP 2018);
+only without one does the stage run. Linked outputs are shared, never
+written through: every writer removes its path and creates a new file
+(``files.open_new``). A stage refuses to run when the output of a stage
+it reads, directly or through another, changed or vanished behind that
+stage's manifest, or when that stage ran on inputs that have changed
+since. Each manifest is loaded, and its outputs and inputs verified,
+once per ``run_pipeline`` call. The ``polarnet`` stage subcommands call
+the same building blocks as the stages.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import glob
 import hashlib
 import json
@@ -34,7 +36,7 @@ from contextlib import closing
 from dataclasses import asdict, dataclass
 from datetime import timedelta
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .annotate import (
@@ -390,9 +392,13 @@ def stage_ingest(config: PipelineConfig, run_dir: Path):
     return outputs
 
 
+def annotated_corpus(config: PipelineConfig) -> str:
+    """The corpus that annotation labels, relative to the run directory."""
+    return f"corpus/{config.annotate_on}.jsonl"
+
+
 def stage_annotate(config: PipelineConfig, run_dir: Path):
-    corpus_name = "sampled.jsonl" if config.annotate_on == "sampled" else "filtered.jsonl"
-    posts = load_posts(run_dir / "corpus" / corpus_name)
+    posts = load_posts(run_dir / annotated_corpus(config))
     reposts = load_reposts(run_dir / "corpus" / "reposts.jsonl")
     provider = provider_from_spec(config.provider.spec_string())
 
@@ -510,23 +516,9 @@ def stage_metrics(config: PipelineConfig, run_dir: Path):
         report_mod.TABLE4_HEADER,
         [report_mod.table4_row(r) for r in stance_rows],
     )
-    write_json(
-        metrics_dir / "structural_report.json",
-        {
-            "rows": [
-                {
-                    "topic": r.topic,
-                    "mean_aei": r.mean_aei,
-                    "max_aei": r.max_aei,
-                    "min_aei": r.min_aei,
-                    "n_groups": r.n_groups,
-                    "max_ds": r.max_ds,
-                    "min_ds": r.min_ds,
-                }
-                for r in structural_rows
-            ],
-        },
-    )
+    columns = ("topic", "mean_aei", "max_aei", "min_aei", "n_groups", "max_ds", "min_ds")
+    write_json(metrics_dir / "structural_report.json",
+               {"rows": [{c: getattr(r, c) for c in columns} for r in structural_rows]})
     write_csv(
         metrics_dir / "structural_report.csv",
         report_mod.TABLE5_HEADER,
@@ -616,27 +608,38 @@ _STAGE_FNS: dict[str, Callable] = {
     "report": stage_report,
 }
 
-# stage -> earlier stages whose manifests must exist before it can run
-_NEEDS: dict[str, tuple[str, ...]] = {
-    "annotate": ("ingest",),
-    "graph": ("ingest", "annotate"),
-    "groups": ("annotate", "graph"),
-    "metrics": ("graph", "groups"),
-    "crosstopic": ("graph", "groups"),
-    "report": ("ingest",),
-}
+# What each stage reads: the top-level config fields (of ``semantic_fields``;
+# None is the whole config) and, by the earlier stage that writes them, the
+# run-directory paths it opens, as ``fnmatch`` patterns (whose ``*`` matches
+# ``/`` too) or as a function of the config. A field read but not listed
+# would reuse a stale stage. Every stage in ``paths`` must have a manifest,
+# except those in ``optional``. Ingest reads the dumps (``_declared_inputs``).
+class _StageReads(NamedTuple):
+    fields: Optional[tuple[str, ...]]
+    paths: dict[str, tuple]
+    optional: tuple[str, ...] = ()
 
-# stage -> the top-level config fields (of ``semantic_fields``) it reads;
-# None is the whole config. A field read but not needed only costs a cache
-# hit; a field needed but not listed would reuse a stale stage.
-_READS: dict[str, Optional[tuple[str, ...]]] = {
-    "ingest": ("inputs", "window", "downtime", "filters", "sample", "seed"),
-    "annotate": ("annotate_on", "provider", "topics", "stance_sample_k", "seed"),
-    "graph": ("topics", "window"),
-    "groups": ("detection", "seed", "window"),
-    "metrics": ("metrics", "topics", "window"),
-    "crosstopic": ("metrics", "topics", "window"),
-    "report": None,  # summary.json stamps the whole config's hash
+
+_STAGE_READS: dict[str, _StageReads] = {
+    "ingest": _StageReads(("inputs", "window", "downtime", "filters", "sample", "seed"), {}),
+    "annotate": _StageReads(("annotate_on", "provider", "topics", "stance_sample_k", "seed"),
+                            {"ingest": (annotated_corpus, "corpus/reposts.jsonl")}),
+    "graph": _StageReads(("topics", "window"),
+                         {"ingest": ("corpus/filtered.jsonl", "corpus/reposts.jsonl"),
+                          "annotate": ("labels/topics.jsonl",)}),
+    "groups": _StageReads(("detection", "seed", "window"),
+                          {"annotate": ("labels/stances_*.jsonl",), "graph": ("graphs/**",)}),
+    "metrics": _StageReads(("metrics", "topics", "window"),
+                           {"graph": ("graphs/**",), "groups": ("groups/**",)}),
+    "crosstopic": _StageReads(("metrics", "topics", "window"),
+                              {"graph": ("graphs/**",), "groups": ("groups/**",)}),
+    # summary.json stamps the whole config's hash; report renders a partial
+    # bundle, so only ingest must have run
+    "report": _StageReads(None, {"ingest": ("stats/activity_stats.json",),
+                                 "annotate": ("labels/themes.jsonl",),
+                                 "graph": ("graphs/stats.json",), "metrics": ("metrics/**",),
+                                 "crosstopic": ("crosstopic/**",)},
+                          optional=("annotate", "graph", "metrics", "crosstopic")),
 }
 
 
@@ -668,31 +671,39 @@ def _stale_outputs(manifest: StageManifest, run_dir: Path) -> tuple[list[str], l
     return missing, changed
 
 
-def _dump_hashes(config: PipelineConfig) -> dict[str, str]:
-    """Ingest's inputs: every file the config's input globs match now."""
-    return {str(p): file_hash(p) for p in input_files(config.inputs)}
+def _upstream(stage: str) -> set[str]:
+    """The stages whose outputs ``stage`` reads, directly or through another."""
+    return {s for p in _STAGE_READS[stage].paths for s in (p, *_upstream(p))}
 
 
-def _union(stages, verified: dict) -> dict[str, str]:
-    return {rel: h for prior in stages for rel, h in (verified[prior] or {}).items()}
+def _declared_inputs(stage: str, config: PipelineConfig, verified: dict) -> dict[str, str]:
+    """Ingest's inputs are every file the config's input globs match now; any
+    other stage's are the verified outputs of its producers that it declares."""
+    if stage == "ingest":
+        return {str(p): file_hash(p) for p in input_files(config.inputs)}
+    inputs = {}
+    for producer, patterns in _STAGE_READS[stage].paths.items():
+        outputs = verified[producer] or {}
+        for pattern in patterns:
+            pattern = pattern(config) if callable(pattern) else pattern
+            inputs.update((rel, outputs[rel]) for rel in fnmatch.filter(outputs, pattern))
+    return inputs
 
 
-def _earlier_outputs(stage: str, config: PipelineConfig, run_dir: Path,
-                     verified: dict) -> dict[str, str]:
-    """The union of the outputs of every stage before ``stage`` with a manifest.
+def _inputs(stage: str, config: PipelineConfig, run_dir: Path,
+            verified: dict) -> dict[str, str]:
+    """The inputs ``stage`` declares (``_STAGE_READS``), once every stage it
+    reads, directly or through another, is verified.
 
     ``verified`` maps each stage seen in this call to its verified output
     hashes (None without a manifest); a stage not seen yet is loaded and
-    verified here, once, against its own outputs and against its inputs.
-    Ingest's inputs must be the dumps its globs match now. Any other
-    stage's recorded inputs must each still be a verified output of a
-    stage before it with the same hash; an output of a stage that first
-    ran after it was not among its inputs and does not make it stale.
+    verified here, once, against its own outputs and against its inputs,
+    which must still be the inputs it declares, with the same hashes.
     """
-    earlier = STAGES[: STAGES.index(stage)]
+    upstream = _upstream(stage)
     changed = []
-    for i, prior in enumerate(earlier):
-        if prior in verified:
+    for prior in STAGES:
+        if prior not in upstream or prior in verified:
             continue
         manifest = _load_manifest(run_dir, prior)
         if manifest is not None:
@@ -701,21 +712,17 @@ def _earlier_outputs(stage: str, config: PipelineConfig, run_dir: Path,
                 raise StageError(stage, f"{missing[0]!r} of stage '{prior}' is missing; "
                                         f"run stage '{prior}' again")
             changed += diff
-            if prior == "ingest":
-                stale = manifest.inputs != _dump_hashes(config)
-            else:
-                current = _union(earlier[:i], verified)
-                stale = any(current.get(rel) != h for rel, h in manifest.inputs.items())
-            if stale:
+            if manifest.inputs != _declared_inputs(prior, config, verified):
                 raise StageError(stage, f"stage '{prior}' ran on inputs that have changed "
                                         f"since; run stage '{prior}' again")
         verified[prior] = None if manifest is None else manifest.outputs
-    for need in _NEEDS.get(stage, ()):
-        if verified[need] is None:
+    reads = _STAGE_READS[stage]
+    for need in reads.paths:
+        if need not in reads.optional and verified[need] is None:
             raise StageError(stage, f"stage '{need}' has no manifest; run stage '{need}' first")
     if changed:
         raise HashMismatchError(stage, changed)
-    return _union(earlier, verified)
+    return _declared_inputs(stage, config, verified)
 
 
 def config_json(config: PipelineConfig) -> dict[str, str]:
@@ -726,7 +733,8 @@ def config_json(config: PipelineConfig) -> dict[str, str]:
 def stage_key(stage: str, fields: dict[str, str], inputs: dict[str, str]) -> str:
     """What a stage's outputs are a function of: the config fields it reads
     (from ``config_json``), the tool version and the hashes of its inputs."""
-    parts = [stage, __version__] + [f"{f}={fields[f]}" for f in _READS[stage] or sorted(fields)]
+    read = _STAGE_READS[stage].fields
+    parts = [stage, __version__] + [f"{f}={fields[f]}" for f in read or sorted(fields)]
     for rel, digest in sorted(inputs.items()):
         parts += (rel, digest)
     # joined by NUL, which no path, JSON text or digest contains; a cached
@@ -858,10 +866,7 @@ def run_pipeline(
     verified: dict[str, Optional[dict[str, str]]] = {}
     manifests = []
     for stage in selected:
-        if stage == "ingest":
-            inputs = _dump_hashes(config)
-        else:
-            inputs = _earlier_outputs(stage, config, run_dir, verified)
+        inputs = _inputs(stage, config, run_dir, verified)
         key = stage_key(stage, fields, inputs)
         manifest = _load_manifest(run_dir, stage)
         if (

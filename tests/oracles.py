@@ -3,7 +3,7 @@
 Everything here is deliberately written the slow, obvious way (exhaustive
 enumeration, direct summation over raw edge lists) and shares no code with
 the package under test; the test-graph generators only build its
-TopicNetwork record.
+TopicNetwork record, and the record helpers only feed or read its records.
 """
 
 from __future__ import annotations
@@ -219,6 +219,31 @@ def random_multigraph(
         mult[(u, v)] += 1 + (rng.random() < 0.2)
     groups = {node: rng.randrange(n_groups) for node in nodes}
     return TopicNetwork("rand", "reposts", None, set(nodes), mult), groups
+
+
+# --- record helpers --------------------------------------------------------
+# Conveniences on package records that only tests call.
+
+
+def add_all(acc, events):
+    """Feed every event to a ``StatsAccumulator``; returns it, so that
+    ``finalize`` can be chained."""
+    for event in events:
+        acc.add(event)
+    return acc
+
+
+def cell(table, stance_x: str, stance_y: str) -> float:
+    """One cell of a ``JointStanceTable``, by the two stances."""
+    return table.values[table.order.index(stance_x)][table.order.index(stance_y)]
+
+
+def marginal_x(table) -> list[float]:
+    return [sum(row) for row in table.values]
+
+
+def marginal_y(table) -> list[float]:
+    return [sum(row[j] for row in table.values) for j in range(len(table.order))]
 
 
 # --- event parsing ---------------------------------------------------------

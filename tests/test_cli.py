@@ -288,21 +288,33 @@ class TestRunAndReport:
         assert f"config error: {section}.{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("section, settings", [
-        ("metrics", {"nmi_normalization": "median"}),
-        ("metrics", {"hypergraph_threshold": 1}),
-        ("provider", {"kind": "mok", "url": "http://127.0.0.1:9/x"}),
-    ], ids=["nmi-normalization", "hypergraph-threshold", "provider-kind"])
+    @pytest.mark.parametrize("change, field", [
+        ({"metrics": {"nmi_normalization": "median"}}, "metrics.nmi_normalization"),
+        ({"metrics": {"hypergraph_threshold": 1}}, "metrics.hypergraph_threshold"),
+        ({"provider": {"kind": "mok", "url": "http://127.0.0.1:9/x"}}, "provider.kind"),
+        ({"stance_sample_k": 0}, "stance_sample_k"),
+        ({"downtime": [{"date": "2025-01-16", "observed_hours": 48}]},
+         "downtime[].observed_hours"),
+    ], ids=["nmi-normalization", "hypergraph-threshold", "provider-kind", "stance-sample-k",
+            "observed-hours"])
     def test_setting_a_stage_would_reject_exit_code(self, workspace, tmp_path, capsys,
-                                                    section, settings):
+                                                    change, field):
         # each was once accepted here and refused, or misread, by a later stage
         _, _, _, raw = workspace
         config_path = tmp_path / "cfg.json"
-        config_path.write_text(json.dumps(dict(raw, out_dir=str(tmp_path / "runs"),
-                                               **{section: settings})))
+        config_path.write_text(json.dumps(dict(raw, out_dir=str(tmp_path / "runs"), **change)))
         assert main(["run", "--config", str(config_path)]) == 2
-        field = next(iter(settings))
-        assert f"config error: {section}.{field} must be" in capsys.readouterr().err
+        assert f"config error: {field} must be" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("manifests"))
+
+    def test_crosstopic_threshold_out_of_range_exit_code(self, workspace, tmp_path, capsys):
+        _, _, _, raw = workspace
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(dict(raw, out_dir=str(tmp_path / "runs"))))
+        assert main(["crosstopic", "hypergraph", "--config", str(config_path),
+                     "--threshold", "1"]) == 2
+        assert ("config error: metrics.hypergraph_threshold must be"
+                in capsys.readouterr().err)
         assert not list(tmp_path.rglob("manifests"))
 
 

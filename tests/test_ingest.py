@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DirectEvent, DirectParseError, parse_event_direct
+from oracles import DirectEvent, DirectParseError, add_all, parse_event_direct
 from polarnet import pipeline
 from polarnet.errors import EventParseError
 from polarnet.ingest import (
@@ -357,7 +357,7 @@ class TestActivityStats:
             ev(did="did:plc:a", uri="at://p/2"),
             ev(did="did:plc:b", uri="at://p/3"),
         ]
-        stats = StatsAccumulator(downtime={}).add_all(parse_stream(lines)).finalize()
+        stats = add_all(StatsAccumulator(downtime={}), parse_stream(lines)).finalize()
         posts = stats.per_type["post"]
         assert posts.total_actions == 3
         assert posts.daily_average_authors == 2.0
@@ -369,17 +369,17 @@ class TestActivityStats:
             ev(time="2025-01-03T23:00:00Z"),
             ev(time="2025-01-04T01:00:00Z"),
         ]
-        stats = StatsAccumulator(downtime={}).add_all(parse_stream(lines)).finalize()
+        stats = add_all(StatsAccumulator(downtime={}), parse_stream(lines)).finalize()
         assert stats.per_type["post"].total_author_days == 2
 
     def test_update_delete_excluded(self):
         lines = [ev(), ev(action="update"), ev(action="delete")]
-        stats = StatsAccumulator(downtime={}).add_all(parse_stream(lines)).finalize()
+        stats = add_all(StatsAccumulator(downtime={}), parse_stream(lines)).finalize()
         assert stats.per_type["post"].total_actions == 1
         assert stats.non_create_events == 2
 
     def test_empty_stream_zeroed(self):
-        stats = StatsAccumulator().add_all([]).finalize()
+        stats = add_all(StatsAccumulator(), []).finalize()
         assert stats.per_type["like"].total_actions == 0
         assert stats.per_type["like"].daily_average_actions == 0.0
         assert stats.observed_days == 0.0
@@ -390,8 +390,8 @@ class TestActivityStats:
             ev(did="did:plc:b", time="2025-01-04T01:00:00Z", collection="app.bsky.feed.like"),
             ev(did="did:plc:c", time="2025-01-03T05:00:00Z"),
         ]
-        forward = StatsAccumulator(downtime={}).add_all(parse_stream(lines)).finalize()
-        backward = StatsAccumulator(downtime={}).add_all(parse_stream(reversed(lines))).finalize()
+        forward = add_all(StatsAccumulator(downtime={}), parse_stream(lines)).finalize()
+        backward = add_all(StatsAccumulator(downtime={}), parse_stream(reversed(lines))).finalize()
         assert forward.per_type == backward.per_type
         assert forward.daily == backward.daily
 
@@ -399,7 +399,7 @@ class TestActivityStats:
         # window 2025-03-30 .. 2025-04-02 includes a 13h-lost day and two
         # fully lost days: observed = 1 + 11/24 + 0 + 0
         lines = [ev(time="2025-03-30T01:00:00Z"), ev(time="2025-04-02T23:00:00Z")]
-        stats = StatsAccumulator().add_all(parse_stream(lines)).finalize()
+        stats = add_all(StatsAccumulator(), parse_stream(lines)).finalize()
         assert stats.observed_days == pytest.approx(1 + 11 / 24)
 
     def test_default_downtime_totals_69_hours(self):

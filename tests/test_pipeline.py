@@ -4,6 +4,7 @@ import logging
 import os
 import shutil
 import socket
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -440,6 +441,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("k", [True, 10.9, "12", 0, -3])
+    def test_stance_sample_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ConfigError, match="stance_sample_k must be"):
+            config_from_dict({"inputs": ["x"], "out_dir": "o", "seed": 1, "stance_sample_k": k})
+
+    @pytest.mark.parametrize("hours", [True, "12", -5, 48])
+    def test_observed_hours_must_be_hours_of_a_day(self, hours):
+        downtime = [{"date": "2025-01-16", "observed_hours": hours}]
+        with pytest.raises(ConfigError, match=r"downtime\[\]\.observed_hours must be"):
+            config_from_dict({"inputs": ["x"], "out_dir": "o", "seed": 1, "downtime": downtime})
+
     def test_stage_seeds_differ_by_stage(self):
         assert stage_seed(42, "ingest.sample") != stage_seed(42, "groups.ai")
         assert stage_seed(42, "groups.ai") == stage_seed(42, "groups.ai")
@@ -593,6 +605,63 @@ def slice_bases(event_fixture, tmp_path_factory):
     return work, bases
 
 
+class _OpenLog:
+    """Appends every file opened to ``paths`` while it is a list. An audit
+    hook cannot be removed, so ``hook`` is installed once per process."""
+
+    paths = None
+    installed = False
+
+    @classmethod
+    def hook(cls, event, args):
+        if event == "open" and cls.paths is not None:
+            cls.paths.append(args[0])
+
+
+@pytest.fixture
+def stage_opens(monkeypatch):
+    """Every path each stage opens while its ``_STAGE_FNS`` entry runs."""
+    if not _OpenLog.installed:
+        sys.addaudithook(_OpenLog.hook)
+        _OpenLog.installed = True
+    opened: dict[str, list] = {}
+
+    def watched(stage, fn):
+        def run(config, run_dir):
+            _OpenLog.paths = opened.setdefault(stage, [])
+            try:
+                return fn(config, run_dir)
+            finally:
+                _OpenLog.paths = None
+        return run
+
+    for stage, fn in list(pipeline._STAGE_FNS.items()):
+        monkeypatch.setitem(pipeline._STAGE_FNS, stage, watched(stage, fn))
+    return opened
+
+
+def assert_opens_declared(manifests, opened: dict, run_dir: Path) -> None:
+    """Each file under ``run_dir`` that a stage which ran opened is one of
+    its recorded inputs or outputs."""
+    root = os.path.realpath(run_dir)
+    for m in manifests:
+        assert not m.cached, m.stage
+        for path in opened[m.stage]:
+            if isinstance(path, int):
+                continue  # a file descriptor: its path was checked when it was opened
+            full = os.path.realpath(os.fsdecode(path))
+            if os.path.commonpath([full, root]) == root:
+                rel = os.path.relpath(full, root)
+                assert rel in m.inputs or rel in m.outputs, (m.stage, rel)
+
+
+def test_c8_stages_open_only_what_they_declare(event_fixture, tmp_path, stage_opens):
+    event_path, _ = event_fixture
+    config = fixture_config(event_path, tmp_path)
+    manifests = run_pipeline(config)
+    assert_opens_declared(manifests, stage_opens, run_dir_for(config))
+
+
 def in_root_of(base: PipelineConfig, root: Path) -> Path:
     """A run root holding a copy of ``base``'s finished run directory."""
     shutil.copytree(run_dir_for(base), root / run_dir_for(base).name)
@@ -603,22 +672,25 @@ class TestStageKeys:
     # Each top-level config field, the base run, a change to the field, and
     # the stages that must run again in that base run's root; every other
     # stage is copied from the base run. Written out by hand, not derived
-    # from pipeline._READS. A stage whose key changed but whose outputs came
-    # out byte-identical lets later stages be copied ("inputs", "seed",
-    # "provider", "topics"). Every later stage may read every earlier
-    # output, so any change to the corpus, the sample or the activity stats
-    # re-runs everything after ingest.
+    # from pipeline._STAGE_READS. Each stage reads only the paths it
+    # declares, so a stage whose key changed but whose outputs came out
+    # byte-identical, or whose changed outputs no later stage reads, lets
+    # later stages be copied: a new window or downtime changes only the
+    # activity stats, not the corpus annotation reads ("window",
+    # "downtime"); annotation reads the filtered corpus, not the sample
+    # ("sample"); a new k changes the stances but not the topic labels that
+    # graph reads ("stance_sample_k").
     CASES = {
         "inputs": ("whole", lambda w: [str(w / "copy" / "events.jsonl")], ["ingest", "report"]),
         "out_dir": ("whole", lambda w: str(w / "elsewhere"), []),
         "seed": ("whole", lambda w: 43,
                  ["ingest", "annotate", "groups", "metrics", "crosstopic", "report"]),
         "window": ("whole", lambda w: {"start": "2025-01-01", "end": "2025-02-01"},
-                   list(STAGES)),
+                   ["ingest", "graph", "groups", "metrics", "crosstopic", "report"]),
         "filters": ("whole", lambda w: {"min_reposts": 2, "min_chars": 5, "lang": "en"},
                     list(STAGES)),
         "sample": ("whole", lambda w: {"fraction": 0.5, "stratify_by_day": False},
-                   list(STAGES)),
+                   ["ingest", "report"]),
         "provider": ("whole", lambda w: {"kind": "mock", "url": "http://127.0.0.1:9/unused"},
                      ["annotate", "report"]),
         "topics": ("whole", lambda w: [dict(t, name=t["name"] + "!") for t in FIXTURE_TOPICS],
@@ -632,25 +704,30 @@ class TestStageKeys:
                                         "hypergraph_inclusive": False,
                                         "nmi_normalization": "mean"},
                     ["metrics", "crosstopic", "report"]),
-        "stance_sample_k": ("whole", lambda w: 3, list(STAGES[1:])),
+        "stance_sample_k": ("whole", lambda w: 3,
+                            ["annotate", "groups", "metrics", "crosstopic", "report"]),
         "annotate_on": ("sampled", lambda w: "sampled", list(STAGES[1:])),
-        "downtime": ("whole", lambda w: [], list(STAGES)),
+        "downtime": ("whole", lambda w: [], ["ingest", "report"]),
     }
 
     def test_cases_cover_every_config_field(self, slice_bases):
         _, bases = slice_bases
         assert sorted(self.CASES) == sorted(config_to_dict(bases["whole"]))
 
-    @pytest.mark.parametrize("field", sorted(CASES))
-    def test_change_reruns_exactly_the_stages_that_read_it(self, slice_bases, field, tmp_path):
+    def changed_config(self, slice_bases, field):
+        """The case's base config and the config with its field changed."""
         work, bases = slice_bases
-        base_name, change, expected = self.CASES[field]
+        base_name, change, _ = self.CASES[field]
         base = bases[base_name]
         raw = config_to_dict(base)
         assert raw[field] != change(work)
         raw[field] = change(work)
-        changed = config_from_dict(raw)
+        return base, config_from_dict(raw)
 
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_change_reruns_exactly_the_stages_that_read_it(self, slice_bases, field, tmp_path):
+        base, changed = self.changed_config(slice_bases, field)
+        expected = self.CASES[field][2]
         root = in_root_of(base, tmp_path / "root")
         manifests = run_pipeline(changed, run_root=root)
         assert ran(manifests) == expected
@@ -658,6 +735,13 @@ class TestStageKeys:
         run_pipeline(changed, run_root=tmp_path / "cold")
         assert tree_bytes(run_dir_for(changed, root)) == tree_bytes(
             run_dir_for(changed, tmp_path / "cold"))
+
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_stages_open_only_what_they_declare(self, slice_bases, field, tmp_path,
+                                                stage_opens):
+        _, changed = self.changed_config(slice_bases, field)
+        manifests = run_pipeline(changed, run_root=tmp_path / "cold")
+        assert_opens_declared(manifests, stage_opens, run_dir_for(changed, tmp_path / "cold"))
 
     def test_reuse_is_logged_and_the_copy_is_then_cached(self, slice_bases, tmp_path, caplog):
         base = slice_bases[1]["whole"]
