@@ -23,8 +23,8 @@ from .annotate import (
     topic_store,
 )
 from .config import (STAGES, DetectionConfig, FilterConfig, SampleConfig, config_from_dict,
-                     config_to_dict, load_config)
-from .errors import ConfigError, PolarnetError
+                     config_hash, config_to_dict, load_config)
+from .errors import INPUT_ERRORS, ConfigError, PolarnetError
 from .graphs import network_stats, parse_window
 from .groups import Partition, StanceGrouping, group_composition
 from .pipeline import (
@@ -40,7 +40,6 @@ from .pipeline import (
     run_dir_for,
     run_pipeline,
     sample_posts,
-    stage_report,
     write_activity_stats,
     write_content_groups,
     write_posts,
@@ -252,24 +251,26 @@ def cmd_run(args):
     config = load_config(args.config)
     stages = args.stages.split(",") if args.stages else None
     run_root = Path(args.out) if args.out else None
-    manifests = run_pipeline(config, stages=stages, run_root=run_root)
-    run_dir = run_dir_for(config, run_root)
+    _print_stages(run_pipeline(config, stages=stages, run_root=run_root))
+    print(f"run directory: {run_dir_for(config, run_root)}")
+    return 0
+
+
+def _print_stages(manifests) -> None:
     for m in manifests:
         status = "cached" if m.cached else f"{m.wall_time_s:.2f}s"
         print(f"{m.stage}: {status}")
-    print(f"run directory: {run_dir}")
-    return 0
 
 
 def cmd_report(args):
     run_dir = Path(args.out)
-    if args.config:
-        config = load_config(args.config)
-    elif (run_dir / "config.json").exists():
-        config = load_config(run_dir / "config.json")
-    else:
-        raise ConfigError(f"pass --config or keep config.json inside {run_dir}")
-    stage_report(config, run_dir)
+    config = load_config(run_dir / "config.json")
+    stamped = config_hash(config)
+    if stamped != run_dir.name:
+        # checked before run_pipeline creates the run directory it names
+        raise ConfigError(f"{run_dir / 'config.json'} hashes to {stamped}, "
+                          f"not to the run directory's name {run_dir.name!r}")
+    _print_stages(run_pipeline(config, stages=["report"], run_root=run_dir.parent))
     print(f"report bundle written to {run_dir / 'report'}")
     return 0
 
@@ -386,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="override the output root from the config")
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("report", help="render the report bundle for a run directory")
+    p = sub.add_parser("report", help="run the report stage in a run directory, "
+                                      "under its config.json")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--config")
     p.set_defaults(fn=cmd_report)
 
     return parser
@@ -408,6 +409,9 @@ def main(argv=None) -> int:
         return 2
     except PolarnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except INPUT_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

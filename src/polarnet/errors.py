@@ -1,5 +1,10 @@
 """Exception types shared across the pipeline."""
 
+# What reading a missing, unreadable or malformed file raises outside the
+# library's own types: a stage or a stage subcommand that hits one fails
+# (exit 3) with a one-line error instead of a traceback.
+INPUT_ERRORS = (OSError, KeyError, ValueError)
+
 
 class PolarnetError(Exception):
     """Base class for all library errors."""

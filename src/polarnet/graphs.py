@@ -192,11 +192,14 @@ def write_nodes_tsv(nodes: Iterable, path: Union[str, Path]) -> list:
 
 
 def read_nodes_tsv(path: Union[str, Path]) -> list:
+    """The node ids of a ``nodes.tsv``, whose lines are numbered 0, 1, 2, ..."""
     nodes = []
     with Path(path).open(encoding="utf-8") as fh:
         for line in fh:
-            idx, node = line.rstrip("\n").split("\t", 1)
-            assert int(idx) == len(nodes)
+            idx, tab, node = line.rstrip("\n").partition("\t")
+            if not tab or idx != str(len(nodes)):
+                raise ValueError(f"{path}: line {len(nodes) + 1} is not node {len(nodes)} "
+                                 f"followed by a tab and its id")
             nodes.append(node)
     return nodes
 
@@ -237,10 +240,14 @@ def load_graph(
         raise ValueError(f"{path} is {len(data)} bytes, not the length its edge count "
                          f"gives; it is truncated or has trailing bytes")
     events = []
-    for _ in range(count):
-        s, t, us = struct.unpack_from("<IIq", data, offset)
-        offset += 16
-        events.append(EdgeRecord(nodes[s], nodes[t], _from_epoch_us(us)))
+    try:
+        for _ in range(count):
+            s, t, us = struct.unpack_from("<IIq", data, offset)
+            offset += 16
+            events.append(EdgeRecord(nodes[s], nodes[t], _from_epoch_us(us)))
+    except IndexError:
+        raise ValueError(f"{path}: edge {len(events)} names node {max(s, t)}, but there "
+                         f"are only {len(nodes)} nodes") from None
     return TopicNetwork.from_events(topic, interaction, window, events, extra_nodes=nodes)
 
 

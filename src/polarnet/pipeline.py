@@ -59,7 +59,7 @@ from .config import (
     stage_seed,
 )
 from .crosstopic import alignment_matrix, jaccard_matrix, joint_stance_table, topic_hypergraph
-from .errors import ConfigError, HashMismatchError, PolarnetError, StageError
+from .errors import INPUT_ERRORS, ConfigError, HashMismatchError, PolarnetError, StageError
 from .files import open_new
 from .graphs import (
     build_bipartite,
@@ -372,13 +372,13 @@ def write_content_groups(g, stances: dict, out_dir: Path):
 
 
 # --- stage implementations -------------------------------------------------
-# Each returns the paths it wrote; the runner handles inputs, hashing,
-# manifests, and caching.
+# Each takes the config, the run directory and its verified inputs (only
+# report reads them) and returns the paths it wrote; the runner does the rest.
 
 
-def stage_ingest(config: PipelineConfig, run_dir: Path):
-    inputs = input_files(config.inputs)
-    stats, parse_errors, posts, reposts = read_events(inputs, config.window, config.downtime)
+def stage_ingest(config: PipelineConfig, run_dir: Path, inputs: dict):
+    dumps = input_files(config.inputs)
+    stats, parse_errors, posts, reposts = read_events(dumps, config.window, config.downtime)
     corpus_dir = run_dir / "corpus"
     outputs = write_activity_stats(run_dir / "stats", stats, parse_errors)
     filtered = filter_posts(posts, config.filters)
@@ -397,7 +397,7 @@ def annotated_corpus(config: PipelineConfig) -> str:
     return f"corpus/{config.annotate_on}.jsonl"
 
 
-def stage_annotate(config: PipelineConfig, run_dir: Path):
+def stage_annotate(config: PipelineConfig, run_dir: Path, inputs: dict):
     posts = load_posts(run_dir / annotated_corpus(config))
     reposts = load_reposts(run_dir / "corpus" / "reposts.jsonl")
     provider = provider_from_spec(config.provider.spec_string())
@@ -418,7 +418,7 @@ def stage_annotate(config: PipelineConfig, run_dir: Path):
     return outputs
 
 
-def stage_graph(config: PipelineConfig, run_dir: Path):
+def stage_graph(config: PipelineConfig, run_dir: Path, inputs: dict):
     posts = {p.uri: p for p in load_posts(run_dir / "corpus" / "filtered.jsonl")}
     reposts = load_reposts(run_dir / "corpus" / "reposts.jsonl")
     topic_map = topic_store(run_dir / "labels" / "topics.jsonl", config.topics).mapping()
@@ -468,7 +468,7 @@ def _write_matrix(path: Path, m) -> None:
     )
 
 
-def stage_groups(config: PipelineConfig, run_dir: Path):
+def stage_groups(config: PipelineConfig, run_dir: Path, inputs: dict):
     outputs = []
     for topic_id in _graph_topics(run_dir):
         graph_dir, group_dir, stance_path = _topic_paths(config, run_dir, topic_id)
@@ -480,7 +480,7 @@ def stage_groups(config: PipelineConfig, run_dir: Path):
     return outputs
 
 
-def stage_metrics(config: PipelineConfig, run_dir: Path):
+def stage_metrics(config: PipelineConfig, run_dir: Path, inputs: dict):
     metrics_dir = run_dir / "metrics"
     stance_rows = []
     structural_rows = []
@@ -531,7 +531,7 @@ def stage_metrics(config: PipelineConfig, run_dir: Path):
     return outputs
 
 
-def stage_crosstopic(config: PipelineConfig, run_dir: Path):
+def stage_crosstopic(config: PipelineConfig, run_dir: Path, inputs: dict):
     topics = _graph_topics(run_dir)
     cross_dir = run_dir / "crosstopic"
     outputs = []
@@ -594,8 +594,9 @@ def stage_crosstopic(config: PipelineConfig, run_dir: Path):
     return outputs
 
 
-def stage_report(config: PipelineConfig, run_dir: Path):
-    return report_mod.render_report(config, run_dir)
+def stage_report(config: PipelineConfig, run_dir: Path, inputs: dict):
+    # looked up at call time, so a wrapper set on the report module applies
+    return report_mod.render_report(config, run_dir, inputs)
 
 
 _STAGE_FNS: dict[str, Callable] = {
@@ -637,7 +638,9 @@ _STAGE_READS: dict[str, _StageReads] = {
     # bundle, so only ingest must have run
     "report": _StageReads(None, {"ingest": ("stats/activity_stats.json",),
                                  "annotate": ("labels/themes.jsonl",),
-                                 "graph": ("graphs/stats.json",), "metrics": ("metrics/**",),
+                                 "graph": ("graphs/stats.json",),
+                                 "metrics": ("metrics/stance_report.csv",
+                                             "metrics/structural_report.csv"),
                                  "crosstopic": ("crosstopic/**",)},
                           optional=("annotate", "graph", "metrics", "crosstopic")),
 }
@@ -803,16 +806,26 @@ def _reuse(stage: str, key: str, run_dir: Path) -> Optional[StageManifest]:
     return None
 
 
+def _remove_outputs(manifest: StageManifest, run_dir: Path) -> None:
+    """Remove the outputs a stage's last manifest recorded before the stage
+    runs again, so that a file the new run does not write is not left for a
+    later stage to find. A path outside the run directory is left alone."""
+    resolved_run_dir = run_dir.resolve()
+    for rel in manifest.outputs:
+        if _inside(run_dir, resolved_run_dir, rel):
+            (run_dir / rel).unlink(missing_ok=True)
+
+
 def _run_stage(stage: str, config: PipelineConfig, run_dir: Path, key: str,
                inputs: dict[str, str]) -> StageManifest:
     started = time.perf_counter()
     try:
-        outputs = _STAGE_FNS[stage](config, run_dir)
+        outputs = _STAGE_FNS[stage](config, run_dir, inputs)
         hashes = {str(p.relative_to(run_dir)): file_hash(p) for p in outputs}
     except (StageError, ConfigError):
         # a configuration error keeps its own type (and CLI exit code)
         raise
-    except (OSError, KeyError, ValueError, PolarnetError) as exc:
+    except (*INPUT_ERRORS, PolarnetError) as exc:
         raise StageError(stage, f"{type(exc).__name__}: {exc}") from exc
     manifest = StageManifest(
         stage=stage,
@@ -849,10 +862,11 @@ def run_pipeline(
     """Execute the requested stages in pipeline order.
 
     A stage is cached when its manifest has the stage's current key and
-    its outputs verify. Otherwise its outputs are linked from a sibling run
-    directory with that key, or it runs. A requested stage whose upstream
-    manifests are missing fails fast, naming the stage that must run first;
-    one whose upstream outputs changed on disk is refused with a hash diff.
+    its outputs verify. Otherwise the outputs its manifest recorded are
+    removed, and its outputs are linked from a sibling run directory with
+    that key, or it runs. A requested stage whose upstream manifests are
+    missing fails fast, naming the stage that must run first; one whose
+    upstream outputs changed on disk is refused with a hash diff.
     """
     selected = list(STAGES) if stages is None else [s for s in STAGES if s in stages]
     if stages is not None:
@@ -877,6 +891,8 @@ def run_pipeline(
             manifest.cached = True
             log.info("stage %s: cached", stage)
         else:
+            if manifest is not None:
+                _remove_outputs(manifest, run_dir)
             manifest = (_reuse(stage, key, run_dir)
                         or _run_stage(stage, config, run_dir, key, inputs))
         verified[stage] = manifest.outputs

@@ -270,7 +270,7 @@ class HttpProvider:
                 payload = json.loads(resp.read().decode("utf-8"))
         except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
             raise TransportError(f"annotation endpoint failed: {exc}") from exc
-        label = payload.get("label")
+        label = payload.get("label") if isinstance(payload, dict) else None
         if not isinstance(label, str):
             raise TransportError(f"malformed provider response: {payload!r}")
         return label

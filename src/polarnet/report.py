@@ -12,6 +12,7 @@ import csv
 import json
 import shutil
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -110,153 +111,113 @@ def _pretty_table(title: str, header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(config, run_dir: Path):
-    """Write the report bundle from whatever stage outputs exist.
+# (per_type key, table label) of the activity table's rows, and its columns
+ACTIVITY_ROWS = (
+    ("like", "Likes"), ("post", "Posts"), ("repost", "Reposts"),
+    ("block", "Blocks"), ("follow", "Follows"), ("profile", "Sign-ups"),
+)
+ACTIVITY_COLUMNS = (
+    "daily_average_actions", "daily_average_authors", "total_actions", "total_author_days",
+)
 
-    Missing upstream sections are skipped and listed in summary.json, so
-    a partial pipeline still yields a valid (partial) bundle.
+
+def _activity(src: Path, dst: Path) -> str:
+    per_type = json.loads(src.read_text(encoding="utf-8"))["per_type"]
+    types = [(label, per_type[kind]) for kind, label in ACTIVITY_ROWS if kind in per_type]
+    # the totals are integers, which round() leaves as they are
+    write_csv(dst, ["action_type", "daily_average_actions", "daily_average_authors",
+                    "total_actions", "total_authors"],
+              [[label] + [round(t[c], 1) for c in ACTIVITY_COLUMNS] for label, t in types])
+    return _pretty_table(
+        "Activity by action type",
+        ["Action", "Daily actions", "Daily authors", "Total actions", "Total authors"],
+        [[label] + [fmt_count(round(t[c])) for c in ACTIVITY_COLUMNS] for label, t in types],
+    )
+
+
+def _themes(src: Path, dst: Path) -> Optional[str]:
+    counts = Counter(theme_store(src).mapping().values())
+    if not counts:
+        return None
+    dist = theme_distribution(counts)
+    rows = [
+        [theme, f"{dist.share_of_all[theme]:.3f}",
+         f"{dist.share_of_political[theme]:.3f}" if theme in dist.share_of_political else DASH,
+         dist.counts[theme]]
+        for theme in sorted(dist.counts)
+    ]
+    write_csv(dst, ["theme", "share_of_all", "share_of_political", "posts"], rows)
+    return _pretty_table(
+        "Posts by political theme",
+        ["Theme", "% of all", "% of political", "Posts"],
+        [[r[0], r[1], r[2], fmt_count(r[3])] for r in rows],
+    )
+
+
+def _networks(src: Path, dst: Path) -> str:
+    gstats = json.loads(src.read_text(encoding="utf-8"))
+    rows = [
+        [topic, s["nodes"], s["edges"], f"{s['average_degree']:.2f}"]
+        for topic, s in sorted(gstats["topics"].items())
+    ]
+    write_csv(dst, ["topic", "nodes", "edges", "average_degree"], rows)
+    return _pretty_table(
+        "Network properties",
+        ["Topic", "Nodes", "Edges", "Avg degree"],
+        [[r[0], fmt_count(r[1]), fmt_count(r[2]), r[3]] for r in rows],
+    )
+
+
+def _scoreboard(title: str, header: list, src: Path, dst: Path) -> str:
+    """Copy a metrics scoreboard into the bundle as it is."""
+    _copy(src, dst)
+    with src.open(encoding="utf-8") as fh:
+        return _pretty_table(title, header, list(csv.reader(fh))[1:])
+
+
+# Each report section: its name in summary.json, the run-directory path it
+# renders, the bundle file it writes, and its renderer, which writes that
+# file and returns the section of report.txt (None: nothing to render).
+SECTIONS = (
+    ("activity", "stats/activity_stats.json", "table1_activity.csv", _activity),
+    ("themes", "labels/themes.jsonl", "table2_themes.csv", _themes),
+    ("networks", "graphs/stats.json", "table3_networks.csv", _networks),
+    ("stance", "metrics/stance_report.csv", "table4_stance.csv",
+     partial(_scoreboard, "Stance-group scores", TABLE4_HEADER)),
+    ("structural", "metrics/structural_report.csv", "table5_structural.csv",
+     partial(_scoreboard, "Structural-group scores", TABLE5_HEADER)),
+)
+
+
+def render_report(config, run_dir: Path, inputs: dict[str, str]):
+    """Write the report bundle from the stage outputs in ``inputs``.
+
+    ``inputs`` maps run-directory paths to hashes: the outputs the runner
+    verified, of the stages that have a manifest. A section renders exactly
+    when its path is among them; the others, and an empty theme store, are
+    listed as missing in summary.json, so a partial pipeline still yields a
+    valid (partial) bundle. The cross-topic files travel into the bundle
+    unchanged.
     """
     report_dir = run_dir / "report"
-    outputs = []
-    sections: dict[str, str] = {}
-    pretty: list[str] = []
+    outputs, pretty, sections = [], [], {}
+    for name, src, bundle_file, render in SECTIONS:
+        text = render(run_dir / src, report_dir / bundle_file) if src in inputs else None
+        sections[name] = "missing" if text is None else "ok"
+        if text is not None:
+            outputs.append(report_dir / bundle_file)
+            pretty.append(text)
 
-    # activity (action-count table)
-    stats_path = run_dir / "stats" / "activity_stats.json"
-    if stats_path.exists():
-        stats = json.loads(stats_path.read_text(encoding="utf-8"))
-        display = [
-            ("like", "Likes"), ("post", "Posts"), ("repost", "Reposts"),
-            ("block", "Blocks"), ("follow", "Follows"), ("profile", "Sign-ups"),
-        ]
-        rows = []
-        pretty_rows = []
-        for kind, label in display:
-            t = stats["per_type"].get(kind)
-            if t is None:
-                continue
-            rows.append([
-                label,
-                round(t["daily_average_actions"], 1),
-                round(t["daily_average_authors"], 1),
-                t["total_actions"],
-                t["total_author_days"],
-            ])
-            pretty_rows.append([
-                label,
-                fmt_count(round(t["daily_average_actions"])),
-                fmt_count(round(t["daily_average_authors"])),
-                fmt_count(t["total_actions"]),
-                fmt_count(t["total_author_days"]),
-            ])
-        path = report_dir / "table1_activity.csv"
-        write_csv(
-            path,
-            ["action_type", "daily_average_actions", "daily_average_authors",
-             "total_actions", "total_authors"],
-            rows,
-        )
-        outputs.append(path)
-        pretty.append(_pretty_table(
-            "Activity by action type",
-            ["Action", "Daily actions", "Daily authors", "Total actions", "Total authors"],
-            pretty_rows,
-        ))
-        sections["activity"] = "ok"
-    else:
-        sections["activity"] = "missing"
+    cross = sorted(rel for rel in inputs
+                   if rel.startswith("crosstopic/") and rel != "crosstopic/skipped.json")
+    for rel in cross:
+        dst = report_dir / Path(rel).name
+        _copy(run_dir / rel, dst)
+        outputs.append(dst)
+    sections["crosstopic"] = "ok" if cross else "missing"
 
-    # theme distribution
-    themes_path = run_dir / "labels" / "themes.jsonl"
-    if themes_path.exists():
-        counts = Counter(theme_store(themes_path).mapping().values())
-        if counts:
-            dist = theme_distribution(counts)
-            rows = []
-            for theme in sorted(dist.counts):
-                rows.append([
-                    theme,
-                    f"{dist.share_of_all[theme]:.3f}",
-                    f"{dist.share_of_political.get(theme, 0.0):.3f}"
-                    if theme in dist.share_of_political else DASH,
-                    dist.counts[theme],
-                ])
-            path = report_dir / "table2_themes.csv"
-            write_csv(path, ["theme", "share_of_all", "share_of_political", "posts"], rows)
-            outputs.append(path)
-            pretty.append(_pretty_table(
-                "Posts by political theme",
-                ["Theme", "% of all", "% of political", "Posts"],
-                [[r[0], r[1], r[2], fmt_count(r[3])] for r in rows],
-            ))
-            sections["themes"] = "ok"
-        else:
-            sections["themes"] = "missing"
-    else:
-        sections["themes"] = "missing"
-
-    # network properties
-    gstats_path = run_dir / "graphs" / "stats.json"
-    if gstats_path.exists():
-        gstats = json.loads(gstats_path.read_text(encoding="utf-8"))
-        rows = [
-            [topic, s["nodes"], s["edges"], f"{s['average_degree']:.2f}"]
-            for topic, s in sorted(gstats["topics"].items())
-        ]
-        path = report_dir / "table3_networks.csv"
-        write_csv(path, ["topic", "nodes", "edges", "average_degree"], rows)
-        outputs.append(path)
-        pretty.append(_pretty_table(
-            "Network properties",
-            ["Topic", "Nodes", "Edges", "Avg degree"],
-            [[r[0], fmt_count(r[1]), fmt_count(r[2]), r[3]] for r in rows],
-        ))
-        sections["networks"] = "ok"
-    else:
-        sections["networks"] = "missing"
-
-    # stance and structural scoreboards
-    for name, src, header, title in (
-        ("stance", "stance_report.csv", TABLE4_HEADER, "Stance-group scores"),
-        ("structural", "structural_report.csv", TABLE5_HEADER, "Structural-group scores"),
-    ):
-        src_path = run_dir / "metrics" / src
-        if src_path.exists():
-            dst = report_dir / (
-                "table4_stance.csv" if name == "stance" else "table5_structural.csv"
-            )
-            _copy(src_path, dst)
-            outputs.append(dst)
-            with src_path.open(encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))[1:]
-            pretty.append(_pretty_table(title, header, rows))
-            sections[name] = "ok"
-        else:
-            sections[name] = "missing"
-
-    # cross-topic matrices travel into the bundle unchanged
-    cross_dir = run_dir / "crosstopic"
-    copied = False
-    if cross_dir.exists():
-        for src_path in sorted(cross_dir.glob("*.csv")) + sorted(cross_dir.glob("*.json")):
-            if src_path.name == "skipped.json":
-                continue
-            dst = report_dir / src_path.name
-            _copy(src_path, dst)
-            outputs.append(dst)
-            copied = True
-    sections["crosstopic"] = "ok" if copied else "missing"
-
-    summary_path = report_dir / "summary.json"
-    summary = {
-        "config_hash": config_hash(config),
-        "sections": sections,
-    }
-    write_json(summary_path, summary)
-    outputs.append(summary_path)
-
-    text_path = report_dir / "report.txt"
-    with open_new(text_path, encoding="utf-8") as fh:
+    write_json(report_dir / "summary.json",
+               {"config_hash": config_hash(config), "sections": sections})
+    with open_new(report_dir / "report.txt", encoding="utf-8") as fh:
         fh.write("\n".join(pretty))
-    outputs.append(text_path)
-    return outputs
+    return outputs + [report_dir / "summary.json", report_dir / "report.txt"]

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -26,12 +27,15 @@ from polarnet.annotate import (
     theme_store,
     topic_store,
 )
+from conftest import fixture_config
 from polarnet.cli import main
-from polarnet.errors import AnnotationError, ConfigError, TransportError
+from polarnet.config import ProviderConfig
+from polarnet.errors import AnnotationError, ConfigError, StageError, TransportError
 from polarnet.ingest import PostRecord
 from polarnet.pipeline import (
     annotate_topic_stances,
     read_events,
+    run_pipeline,
     write_posts,
 )
 from polarnet.providers import (
@@ -398,8 +402,7 @@ class _Endpoint(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.seen.append((self.headers.get("Authorization"), body))
-        label = body["label_set"][0]
-        payload = json.dumps({"label": label}).encode()
+        payload = json.dumps(self.server.reply(body)).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -414,6 +417,7 @@ class _Endpoint(BaseHTTPRequestHandler):
 def endpoint():
     server = HTTPServer(("127.0.0.1", 0), _Endpoint)
     server.seen = []
+    server.reply = lambda body: {"label": body["label_set"][0]}
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -454,6 +458,23 @@ class TestHttpProvider:
         provider = HttpProvider("http://127.0.0.1:9/annotate", timeout=0.5)
         with pytest.raises(TransportError):
             provider.annotate(AnnotationRequest("theme_v1", {"text": "x"}, THEMES))
+
+    @pytest.mark.parametrize("reply", [["for"], "for", None, {"label": 1}, {}])
+    def test_malformed_reply_is_transport_error(self, endpoint, reply):
+        endpoint.reply = lambda body: reply
+        provider = HttpProvider(f"http://127.0.0.1:{endpoint.server_address[1]}/annotate")
+        with pytest.raises(TransportError, match="malformed provider response"):
+            provider.annotate(AnnotationRequest("theme_v1", {"text": "x"}, THEMES))
+
+    def test_malformed_reply_fails_the_annotate_stage(self, endpoint, event_fixture, tmp_path):
+        endpoint.reply = lambda body: ["for"]
+        url = f"http://127.0.0.1:{endpoint.server_address[1]}/annotate"
+        config = replace(fixture_config(event_fixture[0], tmp_path),
+                         provider=ProviderConfig(kind="http", url=url))
+        with pytest.raises(StageError) as exc:
+            run_pipeline(config, stages=["ingest", "annotate"])
+        assert exc.value.stage == "annotate"
+        assert "malformed provider response" in exc.value.reason
 
     def test_cli_annotate_sends_bearer_token(self, endpoint, tmp_path, monkeypatch):
         monkeypatch.setenv(PROVIDER_TOKEN_ENV, "sekrit")

@@ -1,4 +1,5 @@
 import json
+import shutil
 import socket
 
 import pytest
@@ -121,6 +122,16 @@ class TestAnnotateAndGraphCommands:
         assert "russia_ukraine" in out
         assert out.splitlines()[0] == "topic,window,nodes,edges,average_degree"
 
+    def test_graph_stats_on_a_misnumbered_nodes_file_exit_code(self, corpus_files, tmp_path,
+                                                                capsys):
+        graphs = tmp_path / "graphs"
+        shutil.copytree(corpus_files / "graphs", graphs)
+        nodes = graphs / "russia_ukraine" / "2025-01_2025-03" / "nodes.tsv"
+        nodes.write_text("0\ta\n5\tb\n", encoding="utf-8")
+        assert main(["graph", "stats", "--graphs", str(graphs)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and "nodes.tsv" in err
+
     def test_groups_structural_and_content(self, corpus_files, tmp_path, capsys):
         out = tmp_path / "groups"
         assert main(["groups", "structural", "--graphs", str(corpus_files / "graphs"),
@@ -208,6 +219,33 @@ class TestRunAndReport:
         assert main(["report", "--out", str(run_dir)]) == 0
         assert (run_dir / "report" / "summary.json").exists()
 
+    def test_report_command_runs_the_report_stage(self, workspace, tmp_path, capsys):
+        # in a copy of the finished run directory, so the edit stays there
+        _, config_path, _, raw = workspace
+        assert main(["run", "--config", str(config_path)]) == 0
+        run_dir = tmp_path / run_dir_for(config_from_dict(raw)).name
+        shutil.copytree(run_dir_for(config_from_dict(raw)), run_dir)
+        assert main(["report", "--out", str(run_dir)]) == 0
+        assert main(["report", "--out", str(run_dir)]) == 0
+        assert capsys.readouterr().out.splitlines()[-2] == "report: cached"
+        with (run_dir / "metrics" / "stance_report.csv").open("a") as fh:
+            fh.write("edited,,,,,,,,,\n")
+        assert main(["report", "--out", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "input hash mismatch: metrics/stance_report.csv: manifest" in err
+
+    def test_report_command_refuses_a_config_of_another_run(self, workspace, tmp_path,
+                                                            capsys):
+        _, _, _, raw = workspace
+        run_dir = tmp_path / "000000000000"
+        run_dir.mkdir()
+        (run_dir / "config.json").write_text(json.dumps(raw))
+        assert main(["report", "--out", str(run_dir)]) == 2
+        assert "not to the run directory's name '000000000000'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["000000000000"]
+        with pytest.raises(SystemExit):  # no --config to render under another config
+            main(["report", "--out", str(run_dir), "--config", str(run_dir / "config.json")])
+
     def test_metrics_report_prints_table(self, workspace, capsys):
         _, config_path, _, _ = workspace
         assert main(["metrics", "report", "--config", str(config_path),
@@ -241,6 +279,18 @@ class TestRunAndReport:
     def test_config_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert main(["run", "--config", str(missing)]) == 2
+
+    @pytest.mark.parametrize("text, error", [
+        (None, "FileNotFoundError"), ("not json\n", "JSONDecodeError"), ("{}\n", "KeyError"),
+    ])
+    def test_stage_command_on_a_bad_input_file_exit_code(self, tmp_path, capsys, text, error):
+        posts = tmp_path / "posts.jsonl"
+        if text is not None:
+            posts.write_text(text, encoding="utf-8")
+        assert main(["annotate", "themes", "--input", str(posts),
+                     "--out", str(tmp_path / "labels")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
     def test_stage_failure_exit_code(self, workspace, tmp_path, capsys):
         _, config_path, _, raw = workspace

@@ -199,6 +199,20 @@ class TestPersistence:
         with pytest.raises(ValueError, match="g.graph"):
             load_graph(path, ["A", "B"], "t", "reposts")
 
+    @pytest.mark.parametrize("text", ["0\tA\n5\tB\n", "1\tA\n", "0\tA\nB\n"],
+                             ids=["gap", "not-from-zero", "no-tab"])
+    def test_misnumbered_nodes_rejected(self, tmp_path, text):
+        # a ValueError, not an assert that python -O skips
+        (tmp_path / "nodes.tsv").write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="nodes.tsv"):
+            read_nodes_tsv(tmp_path / "nodes.tsv")
+
+    def test_edge_past_the_last_node_rejected(self, tmp_path):
+        g = TopicNetwork.from_events("t", "reposts", None, [EdgeRecord("B", "A", T0)])
+        save_graph(g, tmp_path / "g.graph", {"A": 0, "B": 1})
+        with pytest.raises(ValueError, match="g.graph"):
+            load_graph(tmp_path / "g.graph", ["A"], "t", "reposts")
+
     def test_csv_export(self, tmp_path):
         g = TopicNetwork.from_events("t", "reposts", None, [EdgeRecord("B", "A", T0)])
         export_csv(g, tmp_path / "g.csv")

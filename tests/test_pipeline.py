@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import socket
 import sys
@@ -271,8 +272,8 @@ class TestFailFast:
     def test_missing_output_is_stage_error(self, event_fixture, tmp_path, monkeypatch):
         event_path, _ = event_fixture
         config = fixture_config(event_path, tmp_path)
-        monkeypatch.setitem(pipeline._STAGE_FNS, "report",
-                            lambda config, run_dir: [run_dir / "report" / "never_written.csv"])
+        monkeypatch.setitem(pipeline._STAGE_FNS, "report", lambda config, run_dir, inputs: [
+            run_dir / "report" / "never_written.csv"])
         with pytest.raises(StageError) as exc:
             run_pipeline(config, stages=["ingest", "report"])
         assert exc.value.stage == "report"
@@ -351,6 +352,33 @@ class TestCacheDecisions:
         run_pipeline(whole, stages=["ingest"])
         rel = Path("corpus") / "filtered.jsonl"
         assert (run_dir_for(config) / rel).read_bytes() == (run_dir_for(whole) / rel).read_bytes()
+
+    def test_rerun_leaves_only_the_outputs_its_manifests_list(self, event_fixture, tmp_path):
+        # the dump rewritten without the tiktok_ban and ai cue tokens leaves
+        # those topics without a network: the first run's graphs, groups and
+        # joint tables for them must not outlive it, nor reach the bundle
+        event_path, _ = event_fixture
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        text = event_path.read_text(encoding="utf-8")
+        (dumps / "events.jsonl").write_text(text, encoding="utf-8")
+        config = fixture_config(dumps / "*.jsonl", tmp_path / "runs")
+        run_pipeline(config)
+        run_dir = run_dir_for(config)
+        assert len(list((run_dir / "report").glob("joint_*.csv"))) == 6
+        (dumps / "events.jsonl").write_text(
+            re.sub("bytedance|scroll-ban|chatbot|neural-net", "", text), encoding="utf-8")
+        assert ran(run_pipeline(config)) == list(STAGES)
+        stats = json.loads((run_dir / "graphs" / "stats.json").read_text())
+        assert [t for t, s in stats["topics"].items() if s["edges"]] == [
+            "russia_ukraine", "trump_administration"]
+        listed = {"config.json"}
+        for stage in STAGES:
+            listed |= set(json.loads((run_dir / "manifests" / f"{stage}.json").read_text())[
+                "outputs"])
+        assert {str(rel) for rel in walk_files(run_dir)} == listed
+        assert [p.name for p in (run_dir / "report").glob("joint_*.csv")] == [
+            "joint_russia_ukraine__trump_administration.csv"]
 
     def test_each_file_hashed_once_per_call(self, event_fixture, tmp_path, monkeypatch):
         calls = Counter()
@@ -573,6 +601,23 @@ class TestPartialReport:
         assert (run_dir / "report" / "table1_activity.csv").exists()
         assert not (run_dir / "report" / "table4_stance.csv").exists()
 
+    def test_report_renders_only_the_inputs_the_runner_verified(self, completed_run, tmp_path,
+                                                                stage_opens):
+        # without metrics' manifest the scoreboards are not among report's
+        # inputs, so report neither opens nor renders them
+        config = completed_run[0]
+        root = in_root_of(config, tmp_path)
+        run_dir = run_dir_for(config, root)
+        (run_dir / "manifests" / "metrics.json").unlink()
+        [report] = run_pipeline(config, stages=["report"], run_root=root)
+        summary = json.loads((run_dir / "report" / "summary.json").read_text())
+        assert summary["sections"]["stance"] == summary["sections"]["structural"] == "missing"
+        assert summary["sections"]["crosstopic"] == "ok"
+        assert not {"report/table4_stance.csv", "report/table5_structural.csv"} & set(
+            report.outputs)
+        assert not (run_dir / "report" / "table4_stance.csv").exists()
+        assert_opens_declared([report], stage_opens, run_dir)
+
 
 def tree_bytes(run_dir: Path) -> dict:
     return {rel: (run_dir / rel).read_bytes() for rel in walk_files(run_dir)}
@@ -627,10 +672,10 @@ def stage_opens(monkeypatch):
     opened: dict[str, list] = {}
 
     def watched(stage, fn):
-        def run(config, run_dir):
+        def run(config, run_dir, inputs):
             _OpenLog.paths = opened.setdefault(stage, [])
             try:
-                return fn(config, run_dir)
+                return fn(config, run_dir, inputs)
             finally:
                 _OpenLog.paths = None
         return run
