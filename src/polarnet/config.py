@@ -20,6 +20,7 @@ from .annotate import DEFAULT_TOPICS, TopicSpec
 from .crosstopic import NMI_NORMALIZATIONS
 from .errors import ConfigError
 from .ingest import DEFAULT_DOWNTIME
+from .providers import check_endpoint_url
 
 STAGES = ("ingest", "annotate", "graph", "groups", "metrics", "crosstopic", "report")
 
@@ -183,6 +184,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     provider = section("provider", ProviderConfig)
     if provider.kind not in ("mock", "http"):
         raise ConfigError(f"provider.kind must be 'mock' or 'http', got {provider.kind!r}")
+    if provider.kind == "http" and provider.url is not None:
+        # POLARNET_PROVIDER_URL, a deployment setting, is checked when annotate runs
+        check_endpoint_url(provider.url, "provider.url")
 
     metrics = section("metrics", MetricFlags)
     if not 0.0 < metrics.hypergraph_threshold < 1.0:

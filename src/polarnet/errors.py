@@ -1,7 +1,7 @@
 """Exception types shared across the pipeline."""
 
 # What reading a missing, unreadable or malformed file raises outside the
-# library's own types: a stage or a stage subcommand that hits one fails
+# library's own types: a stage, or a command that reads such a file, fails
 # (exit 3) with a one-line error instead of a traceback.
 INPUT_ERRORS = (OSError, KeyError, ValueError)
 

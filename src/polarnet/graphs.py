@@ -142,14 +142,13 @@ def build_bipartite(
     )
 
 
-def project_reposts(b: BipartiteInteractions, include_isolated: bool = False) -> TopicNetwork:
+def project_reposts(b: BipartiteInteractions) -> TopicNetwork:
     """Project repost interactions onto a directed user multigraph.
 
     Every repost event becomes one edge from the reposter to the original
     author, so repeated reposts yield parallel edges. Self-reposts are
-    suppressed and tallied. By default the node set is exactly the users
-    incident to at least one retained edge; ``include_isolated`` adds all
-    topic participants.
+    suppressed and tallied. The node set is exactly the users incident to
+    at least one retained edge.
     """
     authors = {e.post_uri: e.user for e in b.edges if e.kind == "authorship"}
     events: list[EdgeRecord] = []
@@ -165,8 +164,7 @@ def project_reposts(b: BipartiteInteractions, include_isolated: bool = False) ->
             suppressed += 1
             continue
         events.append(EdgeRecord(e.user, author, e.timestamp))
-    extra = b.users if include_isolated else ()
-    net = TopicNetwork.from_events(b.topic, "reposts", b.window, events, extra_nodes=extra)
+    net = TopicNetwork.from_events(b.topic, "reposts", b.window, events)
     net.suppressed_self_edges = suppressed
     return net
 
@@ -257,19 +255,6 @@ def export_csv(g: TopicNetwork, path: Union[str, Path]) -> None:
         writer.writerow(["source", "target", "timestamp"])
         for e in g.events:
             writer.writerow([e.source, e.target, e.timestamp.isoformat()])
-
-
-def parse_window(spec: str) -> tuple[datetime, datetime]:
-    """Parse a month-range spec like 2024-12:2025-05 into [start, end)."""
-    start_s, end_s = spec.split(":")
-    sy, sm = (int(x) for x in start_s.split("-"))
-    ey, em = (int(x) for x in end_s.split("-"))
-    start = datetime(sy, sm, 1, tzinfo=timezone.utc)
-    if em == 12:
-        end = datetime(ey + 1, 1, 1, tzinfo=timezone.utc)
-    else:
-        end = datetime(ey, em + 1, 1, tzinfo=timezone.utc)
-    return start, end
 
 
 def window_dirname(window: Optional[tuple[datetime, datetime]]) -> str:

@@ -19,8 +19,9 @@ written through: every writer removes its path and creates a new file
 it reads, directly or through another, changed or vanished behind that
 stage's manifest, or when that stage ran on inputs that have changed
 since. Each manifest is loaded, and its outputs and inputs verified,
-once per ``run_pipeline`` call. The ``polarnet`` stage subcommands call
-the same building blocks as the stages.
+once per ``run_pipeline`` call. ``run_pipeline`` is the only way a stage
+runs: every ``polarnet`` command that produces a stage output goes
+through it.
 """
 
 from __future__ import annotations
@@ -50,9 +51,7 @@ from .annotate import (
 from .config import (
     STAGES,
     DetectionConfig,
-    FilterConfig,
     PipelineConfig,
-    SampleConfig,
     config_hash,
     config_to_dict,
     semantic_fields,
@@ -122,8 +121,8 @@ def run_dir_for(config: PipelineConfig, run_root: Optional[Path] = None) -> Path
 
 
 # --- stage building blocks -------------------------------------------------
-# Path-level helpers shared by the stages below and by the ``polarnet``
-# stage subcommands, so each artifact has one reader and one writer.
+# Path-level helpers the stages below call, so each artifact has one reader
+# and one writer.
 
 
 def input_files(patterns: list[str]) -> list[Path]:
@@ -200,24 +199,6 @@ def write_activity_stats(stats_dir: Path, stats, parse_errors: int) -> list[Path
     return [json_path, csv_path]
 
 
-def filter_posts(posts: dict, filters: FilterConfig) -> list:
-    return filter_corpus(
-        sorted(posts.values(), key=lambda p: p.uri),
-        min_reposts=filters.min_reposts,
-        min_chars=filters.min_chars,
-        lang=filters.lang,
-    )
-
-
-def sample_posts(posts: list, sample: SampleConfig, master_seed: int) -> list:
-    return sample_corpus(
-        posts,
-        fraction=sample.fraction,
-        seed=stage_seed(master_seed, "ingest.sample"),
-        stratify_by_day=sample.stratify_by_day,
-    )
-
-
 def write_posts(path: Path, posts) -> None:
     with open_new(path, encoding="utf-8") as fh:
         for p in posts:
@@ -245,7 +226,7 @@ def annotate_topic_stances(spec, by_uri: dict, reposts: list, topic_map: dict, p
     """Label one topic's participants into a fresh ``stances_<id>.jsonl``.
 
     Participants authored or reposted a post labeled with the topic.
-    Returns the store path and the annotation outcome.
+    Returns the store path.
     """
     corpora: dict[str, list] = {}
     for uri, label in topic_map.items():
@@ -255,11 +236,11 @@ def annotate_topic_stances(spec, by_uri: dict, reposts: list, topic_map: dict, p
         if topic_map.get(r.subject_uri) == spec.id and r.subject_uri in by_uri:
             corpora.setdefault(r.reposter, []).append(by_uri[r.subject_uri])
     path = labels_dir / f"stances_{spec.id}.jsonl"
-    outcome = annotate_stances(
+    annotate_stances(
         corpora, spec, provider, stance_store(path),
         k=k, seed=stage_seed(master_seed, f"annotate.stances.{spec.id}"),
     )
-    return path, outcome
+    return path
 
 
 def load_stances(path: Path) -> dict:
@@ -267,13 +248,13 @@ def load_stances(path: Path) -> dict:
 
 
 def write_topic_graph(posts: dict, reposts: list, topic_map: dict, topic_id: str, window,
-                      graphs_dir: Path, include_isolated: bool = False):
+                      graphs_dir: Path):
     """Build one topic's repost network and write it if it has edges.
 
     Returns its ``graphs/stats.json`` row and the files written.
     """
     b = build_bipartite(posts, reposts, topic_map, topic_id, window)
-    g = project_reposts(b, include_isolated=include_isolated)
+    g = project_reposts(b)
     stats = network_stats(g)
     row = {
         "nodes": stats.nodes,
@@ -312,8 +293,9 @@ def read_assignment(path: Path, value=str) -> dict:
     return assignment
 
 
-def write_structural_groups(g, detection: DetectionConfig, master_seed: int, out_dir: Path):
-    """Detect one topic's structural groups and write ``partition.tsv``/``.json``.
+def write_structural_groups(g, detection: DetectionConfig, master_seed: int,
+                            out_dir: Path) -> list[Path]:
+    """Detect one topic's structural groups; write and return ``partition.tsv``/``.json``.
 
     The detection seed is derived from ``master_seed`` and the topic id.
     ``dl_one_block`` is the DL of putting every node in one block;
@@ -348,7 +330,7 @@ def write_structural_groups(g, detection: DetectionConfig, master_seed: int, out
             ],
         },
     )
-    return partition, [out_dir / "partition.tsv", out_dir / "partition.json"]
+    return [out_dir / "partition.tsv", out_dir / "partition.json"]
 
 
 def load_partition(group_dir: Path) -> Partition:
@@ -357,7 +339,7 @@ def load_partition(group_dir: Path) -> Partition:
     return Partition(assignment=assignment, b=meta["b"], dl=meta["dl"])
 
 
-def write_content_groups(g, stances: dict, out_dir: Path):
+def write_content_groups(g, stances: dict, out_dir: Path) -> list[Path]:
     grouping = content_groups(stances, g)
     _write_assignment(out_dir / "content.tsv", grouping.assignment)
     write_json(
@@ -368,7 +350,7 @@ def write_content_groups(g, stances: dict, out_dir: Path):
             "unlabeled": len(grouping.unlabeled),
         },
     )
-    return grouping, [out_dir / "content.tsv", out_dir / "content.json"]
+    return [out_dir / "content.tsv", out_dir / "content.json"]
 
 
 # --- stage implementations -------------------------------------------------
@@ -381,13 +363,18 @@ def stage_ingest(config: PipelineConfig, run_dir: Path, inputs: dict):
     stats, parse_errors, posts, reposts = read_events(dumps, config.window, config.downtime)
     corpus_dir = run_dir / "corpus"
     outputs = write_activity_stats(run_dir / "stats", stats, parse_errors)
-    filtered = filter_posts(posts, config.filters)
+    filters, sample = config.filters, config.sample
+    filtered = filter_corpus(sorted(posts.values(), key=lambda p: p.uri),
+                             min_reposts=filters.min_reposts, min_chars=filters.min_chars,
+                             lang=filters.lang)
     write_posts(corpus_dir / "filtered.jsonl", filtered)
     write_reposts(corpus_dir / "reposts.jsonl", reposts)
     outputs += [corpus_dir / "filtered.jsonl", corpus_dir / "reposts.jsonl"]
-    if config.sample.fraction < 1.0:
-        write_posts(corpus_dir / "sampled.jsonl",
-                    sample_posts(filtered, config.sample, config.seed))
+    if sample.fraction < 1.0:
+        sampled = sample_corpus(filtered, fraction=sample.fraction,
+                                seed=stage_seed(config.seed, "ingest.sample"),
+                                stratify_by_day=sample.stratify_by_day)
+        write_posts(corpus_dir / "sampled.jsonl", sampled)
         outputs.append(corpus_dir / "sampled.jsonl")
     return outputs
 
@@ -412,9 +399,8 @@ def stage_annotate(config: PipelineConfig, run_dir: Path, inputs: dict):
     by_uri = {p.uri: p for p in posts}
     outputs = [themes.path, topics.path]
     for spec in config.topics:
-        path, _ = annotate_topic_stances(spec, by_uri, reposts, topic_map, provider,
-                                         labels_dir, config.stance_sample_k, config.seed)
-        outputs.append(path)
+        outputs.append(annotate_topic_stances(spec, by_uri, reposts, topic_map, provider,
+                                              labels_dir, config.stance_sample_k, config.seed))
     return outputs
 
 
@@ -473,10 +459,8 @@ def stage_groups(config: PipelineConfig, run_dir: Path, inputs: dict):
     for topic_id in _graph_topics(run_dir):
         graph_dir, group_dir, stance_path = _topic_paths(config, run_dir, topic_id)
         g = load_topic_graph(graph_dir, topic_id, config.window)
-        _, written = write_structural_groups(g, config.detection, config.seed, group_dir)
-        outputs += written
-        _, written = write_content_groups(g, load_stances(stance_path), group_dir)
-        outputs += written
+        outputs += write_structural_groups(g, config.detection, config.seed, group_dir)
+        outputs += write_content_groups(g, load_stances(stance_path), group_dir)
     return outputs
 
 

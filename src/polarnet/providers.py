@@ -276,13 +276,18 @@ class HttpProvider:
         return label
 
 
+def check_endpoint_url(url: str, name: str) -> None:
+    """Refuse an endpoint URL that is not http(s); ``name`` is the setting's."""
+    if not url.startswith(("http://", "https://")):
+        raise ConfigError(f"{name} must be an http(s) URL, got {url!r}")
+
+
 def provider_from_spec(spec: str) -> AnnotationProvider:
-    """Build a provider from a CLI/config string: "mock" or an endpoint URL.
+    """Build a provider from a config's spec string: "mock" or an endpoint URL.
 
     An HTTP provider sends the bearer token from ``POLARNET_PROVIDER_TOKEN``.
     """
     if spec == "mock":
         return MockProvider()
-    if spec.startswith(("http://", "https://")):
-        return HttpProvider(spec, token=os.environ.get(PROVIDER_TOKEN_ENV))
-    raise ConfigError(f"provider must be 'mock' or an http(s) URL, got {spec!r}")
+    check_endpoint_url(spec, "provider")
+    return HttpProvider(spec, token=os.environ.get(PROVIDER_TOKEN_ENV))

@@ -36,7 +36,6 @@ from polarnet.pipeline import (
     annotate_topic_stances,
     read_events,
     run_pipeline,
-    write_posts,
 )
 from polarnet.providers import (
     PROVIDER_TOKEN_ENV,
@@ -476,26 +475,21 @@ class TestHttpProvider:
         assert exc.value.stage == "annotate"
         assert "malformed provider response" in exc.value.reason
 
-    def test_cli_annotate_sends_bearer_token(self, endpoint, tmp_path, monkeypatch):
+    def test_cli_annotate_sends_bearer_token(self, endpoint, event_fixture, tmp_path,
+                                             monkeypatch):
         monkeypatch.setenv(PROVIDER_TOKEN_ENV, "sekrit")
-        posts = tmp_path / "posts.jsonl"
-        write_posts(posts, [post("p1", "new tariff schedule dropped")])
+        dump = tmp_path / "events.jsonl"  # the head of the fixture, to keep the calls few
+        dump.write_text("".join(event_fixture[0].read_text().splitlines(True)[:1000]))
         url = f"http://127.0.0.1:{endpoint.server_address[1]}/annotate"
-        argv = ["annotate", "themes", "--input", str(posts), "--provider", url,
-                "--out", str(tmp_path / "labels")]
-        assert main(argv) == 0
-        assert [auth for auth, _ in endpoint.seen] == ["Bearer sekrit"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"inputs": [str(dump)], "out_dir": str(tmp_path / "runs"),
+                                      "seed": 1, "provider": {"kind": "http", "url": url}}))
+        assert main(["run", "--config", str(config), "--stages", "ingest,annotate"]) == 0
+        assert endpoint.seen
+        assert {auth for auth, _ in endpoint.seen} == {"Bearer sekrit"}
 
     def test_provider_from_spec(self):
         assert isinstance(provider_from_spec("mock"), MockProvider)
         assert isinstance(provider_from_spec("http://x/y"), HttpProvider)
         with pytest.raises(ConfigError):
             provider_from_spec("ftp://nope")
-
-    def test_cli_annotate_rejects_other_provider_spec(self, tmp_path, capsys):
-        posts = tmp_path / "posts.jsonl"
-        write_posts(posts, [post("p1", "new tariff schedule dropped")])
-        argv = ["annotate", "themes", "--input", str(posts), "--provider", "ftp://x",
-                "--out", str(tmp_path / "labels")]
-        assert main(argv) == 2
-        assert "ftp://x" in capsys.readouterr().err

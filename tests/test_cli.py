@@ -1,12 +1,13 @@
+import argparse
 import json
 import shutil
-import socket
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURE_TOPICS
-from polarnet.cli import main
-from polarnet.config import config_from_dict
+from polarnet.cli import build_parser, main
+from polarnet.config import config_from_dict, config_hash
 from polarnet.pipeline import run_dir_for, run_pipeline
 
 
@@ -27,81 +28,68 @@ def workspace(event_fixture, tmp_path_factory):
     return event_path, config_path, root, config
 
 
+@pytest.fixture(scope="module")
+def finished_run(workspace):
+    """The workspace config's run directory, after a full run."""
+    config = config_from_dict(workspace[3])
+    run_pipeline(config)
+    return run_dir_for(config)
+
+
+def _write_config(path, raw, **changes):
+    path.write_text(json.dumps(dict(raw, **changes)))
+    return str(path)
+
+
 class TestIngestCommands:
-    def test_stats(self, workspace, tmp_path, capsys):
-        event_path, _, _, _ = workspace
-        assert main(["ingest", "stats", "--input", str(event_path),
-                     "--out", str(tmp_path)]) == 0
-        payload = json.loads((tmp_path / "activity_stats.json").read_text())
+    """Ingest through ``run --stages ingest``."""
+
+    def test_stats(self, finished_run):
+        payload = json.loads((finished_run / "stats" / "activity_stats.json").read_text())
         assert payload["per_type"]["post"]["total_actions"] > 0
-        daily = (tmp_path / "activity_daily.csv").read_text().splitlines()
+        daily = (finished_run / "stats" / "activity_daily.csv").read_text().splitlines()
         assert daily[0] == "date,action_type,actions,distinct_authors"
 
-    def test_filter_and_sample(self, workspace, tmp_path, capsys):
-        event_path, _, _, _ = workspace
-        filtered = tmp_path / "filtered.jsonl"
-        reposts = tmp_path / "reposts.jsonl"
-        assert main(["ingest", "filter", "--input", str(event_path),
-                     "--out", str(filtered), "--reposts-out", str(reposts),
-                     "--min-reposts", "1", "--min-chars", "5", "--lang", "en"]) == 0
-        n_filtered = len(filtered.read_text().splitlines())
-        assert n_filtered > 100
-        sampled = tmp_path / "sampled.jsonl"
-        assert main(["ingest", "sample", "--input", str(filtered),
-                     "--out", str(sampled), "--fraction", "0.1", "--seed", "5"]) == 0
-        assert len(sampled.read_text().splitlines()) == round(0.1 * n_filtered)
-
     def test_stats_window_matches_pipeline(self, workspace, tmp_path, capsys):
-        event_path, _, _, raw = workspace
-        assert main(["ingest", "stats", "--input", str(event_path),
-                     "--out", str(tmp_path / "cli"), "--window", "2025-01:2025-03"]) == 0
+        _, config_path, _, raw = workspace
+        assert main(["run", "--config", str(config_path), "--stages", "ingest",
+                     "--out", str(tmp_path / "cli")]) == 0
         config = config_from_dict(raw)
         run_pipeline(config, stages=["ingest"], run_root=tmp_path / "runs")
-        run_dir = run_dir_for(config, tmp_path / "runs")
-        cli = json.loads((tmp_path / "cli" / "activity_stats.json").read_text())
-        ref = json.loads((run_dir / "stats" / "activity_stats.json").read_text())
-        assert cli["window"] == ["2025-01-01", "2025-03-31"]
+        cli, ref = (json.loads((run_dir_for(config, tmp_path / root) / "stats"
+                                / "activity_stats.json").read_text())
+                    for root in ("cli", "runs"))
+        assert cli["window"] == ["2025-01-01", "2025-03-31"]  # the config's, inclusive
         assert cli == ref
 
+    def test_filter_and_sample(self, workspace, tmp_path, capsys):
+        _, _, _, raw = workspace
+        config = _write_config(tmp_path / "cfg.json", raw, sample={"fraction": 0.1})
+        assert main(["run", "--config", config, "--stages", "ingest",
+                     "--out", str(tmp_path / "runs")]) == 0
+        corpus = next((tmp_path / "runs").iterdir()) / "corpus"
+        n_filtered = len((corpus / "filtered.jsonl").read_text().splitlines())
+        assert n_filtered > 100
+        assert len((corpus / "sampled.jsonl").read_text().splitlines()) == round(0.1 * n_filtered)
+
     def test_stats_counts_parse_errors(self, workspace, tmp_path, capsys):
-        event_path, _, _, _ = workspace
+        event_path, _, _, raw = workspace
         lines = event_path.read_text().splitlines()[:200]
         dump = tmp_path / "dump.jsonl"
         dump.write_text("\n".join(lines + ["{not json", '{"action": "create"}']) + "\n")
-        assert main(["ingest", "stats", "--input", str(dump),
-                     "--out", str(tmp_path / "stats")]) == 0
-        payload = json.loads((tmp_path / "stats" / "activity_stats.json").read_text())
-        assert payload["parse_errors"] == 2
-
-
-@pytest.fixture(scope="module")
-def corpus_files(workspace, tmp_path_factory):
-    event_path, _, _, _ = workspace
-    tmp = tmp_path_factory.mktemp("corpus")
-    filtered = tmp / "filtered.jsonl"
-    reposts = tmp / "reposts.jsonl"
-    main(["ingest", "filter", "--input", str(event_path),
-          "--out", str(filtered), "--reposts-out", str(reposts)])
-    labels = tmp / "labels"
-    main(["annotate", "themes", "--input", str(filtered),
-          "--provider", "mock", "--out", str(labels)])
-    main(["annotate", "topics", "--input", str(filtered),
-          "--themes", str(labels / "themes.jsonl"),
-          "--provider", "mock", "--out", str(labels)])
-    main(["annotate", "stances", "--input", str(filtered),
-          "--topic-labels", str(labels / "topics.jsonl"),
-          "--reposts", str(reposts),
-          "--provider", "mock", "--out", str(labels), "--seed", "3"])
-    graphs = tmp / "graphs"
-    main(["graph", "build", "--corpus", str(filtered), "--reposts", str(reposts),
-          "--topic-labels", str(labels / "topics.jsonl"), "--out", str(graphs),
-          "--topics", "all", "--window", "2025-01:2025-03"])
-    return tmp
+        config = _write_config(tmp_path / "cfg.json", raw, inputs=[str(dump)])
+        assert main(["run", "--config", config, "--stages", "ingest",
+                     "--out", str(tmp_path / "runs")]) == 0
+        stats = next((tmp_path / "runs").iterdir()) / "stats" / "activity_stats.json"
+        assert json.loads(stats.read_text())["parse_errors"] == 2
 
 
 class TestAnnotateAndGraphCommands:
-    def test_labels_written(self, corpus_files):
-        labels = corpus_files / "labels"
+    """The label, graph and group files of a full run, and the commands that
+    read them."""
+
+    def test_labels_written(self, finished_run):
+        labels = finished_run / "labels"
         assert (labels / "themes.jsonl").exists()
         assert (labels / "topics.jsonl").exists()
         assert (labels / "stances_russia_ukraine.jsonl").exists()
@@ -110,41 +98,33 @@ class TestAnnotateAndGraphCommands:
         )
         assert set(record) == {"user", "topic", "label", "template_hash", "timestamp"}
 
-    def test_graph_files_written(self, corpus_files):
-        topic_dir = corpus_files / "graphs" / "russia_ukraine" / "2025-01_2025-03"
+    def test_graph_files_written(self, finished_run):
+        topic_dir = finished_run / "graphs" / "russia_ukraine" / "2025-01_2025-03"
         assert (topic_dir / "reposts.graph").exists()
         assert (topic_dir / "reposts.csv").exists()
         assert (topic_dir / "nodes.tsv").exists()
 
-    def test_graph_stats_prints_rows(self, corpus_files, capsys):
-        assert main(["graph", "stats", "--graphs", str(corpus_files / "graphs")]) == 0
+    def test_graph_stats_prints_rows(self, finished_run, capsys):
+        assert main(["graph", "stats", "--graphs", str(finished_run / "graphs")]) == 0
         out = capsys.readouterr().out
         assert "russia_ukraine" in out
         assert out.splitlines()[0] == "topic,window,nodes,edges,average_degree"
 
-    def test_graph_stats_on_a_misnumbered_nodes_file_exit_code(self, corpus_files, tmp_path,
+    def test_graph_stats_on_a_misnumbered_nodes_file_exit_code(self, finished_run, tmp_path,
                                                                 capsys):
         graphs = tmp_path / "graphs"
-        shutil.copytree(corpus_files / "graphs", graphs)
+        shutil.copytree(finished_run / "graphs", graphs)
         nodes = graphs / "russia_ukraine" / "2025-01_2025-03" / "nodes.tsv"
         nodes.write_text("0\ta\n5\tb\n", encoding="utf-8")
         assert main(["graph", "stats", "--graphs", str(graphs)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: ") and "nodes.tsv" in err
 
-    def test_groups_structural_and_content(self, corpus_files, tmp_path, capsys):
-        out = tmp_path / "groups"
-        assert main(["groups", "structural", "--graphs", str(corpus_files / "graphs"),
-                     "--topic", "russia_ukraine", "--out", str(out),
-                     "--max-groups", "5", "--runs", "5", "--iters", "20",
-                     "--seed", "11"]) == 0
+    def test_groups_structural_and_content(self, finished_run, capsys):
+        out = finished_run / "groups" / "russia_ukraine"
         meta = json.loads((out / "partition.json").read_text())
         assert meta["b"] >= 2
-        assert main(["groups", "content", "--graphs", str(corpus_files / "graphs"),
-                     "--topic", "russia_ukraine",
-                     "--stances", str(corpus_files / "labels" / "stances_russia_ukraine.jsonl"),
-                     "--out", str(out)]) == 0
-        capsys.readouterr()
+        assert json.loads((out / "content.json").read_text())["topic"] == "russia_ukraine"
         assert main(["groups", "composition", "--partition", str(out / "partition.tsv"),
                      "--content", str(out / "content.tsv")]) == 0
         printed = capsys.readouterr().out
@@ -152,44 +132,18 @@ class TestAnnotateAndGraphCommands:
         assert "max_ds" in payload
 
     @pytest.mark.parametrize("what", ["themes", "topics"])
-    def test_rerun_starts_a_fresh_store(self, corpus_files, tmp_path, capsys, what):
-        argv = ["annotate", what, "--input", str(corpus_files / "filtered.jsonl"),
-                "--out", str(tmp_path)]
-        if what == "topics":
-            argv += ["--themes", str(corpus_files / "labels" / "themes.jsonl")]
-        for _ in range(2):
-            assert main(argv) == 0
-        once = corpus_files / "labels" / f"{what}.jsonl"
-        assert (tmp_path / f"{what}.jsonl").read_bytes() == once.read_bytes()
-
-    @pytest.mark.parametrize("case", ["custom_label", "unknown_flag"])
-    def test_stances_for_topic_without_spec(self, corpus_files, tmp_path, capsys, case):
-        filtered = corpus_files / "filtered.jsonl"
-        topic_labels = corpus_files / "labels" / "topics.jsonl"
-        extra = []
-        if case == "custom_label":
-            uri = json.loads(filtered.read_text().splitlines()[0])["uri"]
-            topic_labels = tmp_path / "topics.jsonl"
-            topic_labels.write_text(json.dumps(
-                {"post_uri": uri, "label": "custom_topic", "template_hash": "x",
-                 "timestamp": "2025-01-02T00:00:00+00:00"}) + "\n")
-            missing = "custom_topic"
-        else:
-            extra = ["--topic", "no_such_topic"]
-            missing = "no_such_topic"
-        with socket.socket() as sock:
-            sock.bind(("127.0.0.1", 0))
-            port = sock.getsockname()[1]
-        # a provider call would fail with a transport error (exit 3)
-        out = tmp_path / "labels"
-        assert main(["annotate", "stances", "--input", str(filtered),
-                     "--topic-labels", str(topic_labels),
-                     "--provider", f"http://127.0.0.1:{port}/annotate",
-                     "--out", str(out)] + extra) == 2
-        err = capsys.readouterr().err
-        assert missing in err
-        assert "polarnet run --stages annotate" in err
-        assert not list(out.glob("stances_*.jsonl"))
+    def test_rerun_starts_a_fresh_store(self, workspace, finished_run, tmp_path, capsys, what):
+        # annotate runs again over its own stores: without a manifest the
+        # runner has no record of them to remove first
+        _, config_path, _, _ = workspace
+        run_dir = tmp_path / finished_run.name
+        shutil.copytree(finished_run, run_dir)
+        (run_dir / "manifests" / "annotate.json").unlink()
+        assert main(["run", "--config", str(config_path), "--stages", "annotate",
+                     "--out", str(tmp_path)]) == 0
+        assert "annotate: cached" not in capsys.readouterr().out
+        once = finished_run / "labels" / f"{what}.jsonl"
+        assert (run_dir / "labels" / f"{what}.jsonl").read_bytes() == once.read_bytes()
 
 
 class TestRunAndReport:
@@ -203,17 +157,17 @@ class TestRunAndReport:
         run_dir = run_dir_for(config_from_dict(raw))
         assert (run_dir / "report" / "report.txt").exists()
 
-    def test_rerun_reports_cached(self, workspace, capsys):
+    def test_rerun_reports_cached(self, workspace, finished_run, capsys):
         _, config_path, _, _ = workspace
         assert main(["run", "--config", str(config_path)]) == 0
         out = capsys.readouterr().out
         assert out.count("cached") == 7
 
-    def test_stage_subset(self, workspace, capsys):
+    def test_stage_subset(self, workspace, finished_run, capsys):
         _, config_path, _, _ = workspace
         assert main(["run", "--config", str(config_path), "--stages", "metrics"]) == 0
 
-    def test_report_command(self, workspace, capsys):
+    def test_report_command(self, workspace, finished_run, capsys):
         _, config_path, _, raw = workspace
         run_dir = run_dir_for(config_from_dict(raw))
         assert main(["report", "--out", str(run_dir)]) == 0
@@ -253,6 +207,15 @@ class TestRunAndReport:
         out = capsys.readouterr().out
         assert "n_groups" in out
 
+    def test_metrics_report_out_is_the_run_root(self, workspace, tmp_path, capsys):
+        _, config_path, _, raw = workspace
+        assert main(["metrics", "report", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 0
+        run_dir = tmp_path / config_hash(config_from_dict(raw))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [run_dir.name]
+        assert (run_dir / "manifests" / "metrics.json").exists()
+        assert capsys.readouterr().out.splitlines()[0].startswith("topic,")
+
     def test_crosstopic_commands(self, workspace, capsys):
         _, config_path, _, _ = workspace
         for what in ("overlap", "hypergraph", "alignment", "joint"):
@@ -281,14 +244,17 @@ class TestRunAndReport:
         assert main(["run", "--config", str(missing)]) == 2
 
     @pytest.mark.parametrize("text, error", [
-        (None, "FileNotFoundError"), ("not json\n", "JSONDecodeError"), ("{}\n", "KeyError"),
-    ])
-    def test_stage_command_on_a_bad_input_file_exit_code(self, tmp_path, capsys, text, error):
-        posts = tmp_path / "posts.jsonl"
+        (None, "FileNotFoundError"), ("{}\n", "ValueError"), ("a\t0\nb", "ValueError"),
+    ], ids=["missing", "not-tsv", "short"])
+    def test_groups_composition_on_a_bad_input_file_exit_code(self, tmp_path, capsys, text,
+                                                              error):
+        partition = tmp_path / "partition.tsv"
         if text is not None:
-            posts.write_text(text, encoding="utf-8")
-        assert main(["annotate", "themes", "--input", str(posts),
-                     "--out", str(tmp_path / "labels")]) == 3
+            partition.write_text(text, encoding="utf-8")
+        content = tmp_path / "content.tsv"
+        content.write_text("a\tfor\n", encoding="utf-8")
+        assert main(["groups", "composition", "--partition", str(partition),
+                     "--content", str(content)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
@@ -345,8 +311,9 @@ class TestRunAndReport:
         ({"stance_sample_k": 0}, "stance_sample_k"),
         ({"downtime": [{"date": "2025-01-16", "observed_hours": 48}]},
          "downtime[].observed_hours"),
+        ({"provider": {"kind": "http", "url": "ftp://x"}}, "provider.url"),
     ], ids=["nmi-normalization", "hypergraph-threshold", "provider-kind", "stance-sample-k",
-            "observed-hours"])
+            "observed-hours", "provider-url"])
     def test_setting_a_stage_would_reject_exit_code(self, workspace, tmp_path, capsys,
                                                     change, field):
         # each was once accepted here and refused, or misread, by a later stage
@@ -368,70 +335,32 @@ class TestRunAndReport:
         assert not list(tmp_path.rglob("manifests"))
 
 
-def _tree(root, patterns):
-    return {p.relative_to(root) for pattern in patterns for p in root.glob(pattern)}
+def _subcommands(parser) -> dict:
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
 
 
-def test_stage_commands_match_run(event_fixture, tmp_path, capsys):
-    """The stage-command chain and ``polarnet run`` write the same artifacts."""
-    event_path, _ = event_fixture
-    chain = tmp_path / "chain"
-    corpus, labels = chain / "corpus", chain / "labels"
-    steps = [
-        ["ingest", "stats", "--input", str(event_path), "--out", str(chain / "stats"),
-         "--window", "2025-01:2025-03"],
-        ["ingest", "filter", "--input", str(event_path),
-         "--out", str(corpus / "filtered.jsonl"),
-         "--reposts-out", str(corpus / "reposts.jsonl")],
-        ["ingest", "sample", "--input", str(corpus / "filtered.jsonl"),
-         "--out", str(corpus / "sampled.jsonl"), "--fraction", "0.5", "--seed", "42"],
-        ["annotate", "themes", "--input", str(corpus / "filtered.jsonl"),
-         "--out", str(labels)],
-        ["annotate", "topics", "--input", str(corpus / "filtered.jsonl"),
-         "--themes", str(labels / "themes.jsonl"), "--out", str(labels)],
-        ["annotate", "stances", "--input", str(corpus / "filtered.jsonl"),
-         "--topic-labels", str(labels / "topics.jsonl"),
-         "--reposts", str(corpus / "reposts.jsonl"), "--out", str(labels), "--seed", "42"],
-        ["graph", "build", "--corpus", str(corpus / "filtered.jsonl"),
-         "--reposts", str(corpus / "reposts.jsonl"),
-         "--topic-labels", str(labels / "topics.jsonl"), "--out", str(chain / "graphs"),
-         "--window", "2025-01:2025-03"],
-    ]
-    for argv in steps:
-        assert main(argv) == 0, argv
-    topics = sorted(p.name for p in (chain / "graphs").iterdir())
-    assert len(topics) >= 2
-    for topic in topics:
-        out = str(chain / "groups" / topic)
-        assert main(["groups", "structural", "--graphs", str(chain / "graphs"),
-                     "--topic", topic, "--out", out, "--seed", "42"]) == 0
-        assert main(["groups", "content", "--graphs", str(chain / "graphs"),
-                     "--topic", topic, "--stances", str(labels / f"stances_{topic}.jsonl"),
-                     "--out", out]) == 0
+def _readme_commands(text: str) -> set:
+    """``command`` or ``command subcommand`` of each ``polarnet`` line in a
+    fenced code block; ``a|b`` lists alternatives."""
+    found, in_code = set(), False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            in_code = not in_code
+        elif in_code and line.startswith("polarnet "):
+            words = line.split()
+            if len(words) > 2 and not words[2].startswith("-"):
+                found |= {f"{words[1]} {sub}" for sub in words[2].split("|")}
+            else:
+                found.add(words[1])
+    return found
 
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "inputs": [str(event_path)],
-        "out_dir": str(tmp_path / "runs"),
-        "seed": 42,
-        "window": {"start": "2025-01-01", "end": "2025-04-01"},
-        "sample": {"fraction": 0.5},
-    }))
-    assert main(["run", "--config", str(config_path)]) == 0
-    run_dir = next((tmp_path / "runs").iterdir())
 
-    patterns = ["corpus/*.jsonl", "labels/*.jsonl", "stats/activity_daily.csv",
-                "graphs/*/*/nodes.tsv", "graphs/*/*/reposts.graph", "graphs/*/*/reposts.csv",
-                "groups/*/partition.tsv", "groups/*/content.tsv"]
-    chain_files, run_files = _tree(chain, patterns), _tree(run_dir, patterns)
-    # run keeps an empty stance store for every configured topic
-    for rel in run_files - chain_files:
-        assert rel.name.startswith("stances_") and (run_dir / rel).stat().st_size == 0
-    assert chain_files <= run_files
-    assert len(chain_files) == 6 + len(topics) * 6
-    differing = [str(rel) for rel in sorted(chain_files)
-                 if (chain / rel).read_bytes() != (run_dir / rel).read_bytes()]
-    assert differing == []
-    stats = [json.loads((d / "stats" / "activity_stats.json").read_text())
-             for d in (chain, run_dir)]
-    assert stats[0] == stats[1]
+def test_readme_shows_every_command():
+    defined = set()
+    for name, command in _subcommands(build_parser()).items():
+        defined |= {f"{name} {sub}" for sub in _subcommands(command)} or {name}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
+    assert _readme_commands(section) == defined
+    assert _readme_commands(readme) <= defined

@@ -12,7 +12,6 @@ from polarnet.graphs import (
     export_csv,
     load_graph,
     network_stats,
-    parse_window,
     project_reposts,
     read_nodes_tsv,
     save_graph,
@@ -108,7 +107,6 @@ class TestProjectReposts:
             {"p1": "russia_ukraine", "p2": "russia_ukraine"},
         )
         assert project_reposts(b).nodes == {"A", "B"}
-        assert project_reposts(b, include_isolated=True).nodes == {"A", "B", "Z"}
 
     @given(
         st.lists(
@@ -222,16 +220,11 @@ class TestPersistence:
 
 
 class TestWindow:
-    def test_parse_window(self):
-        start, end = parse_window("2024-12:2025-05")
-        assert start == datetime(2024, 12, 1, tzinfo=UTC)
-        assert end == datetime(2025, 6, 1, tzinfo=UTC)
-
     def test_dirname_round_trip(self):
-        assert window_dirname(parse_window("2024-12:2025-05")) == "2024-12_2025-05"
+        window = (datetime(2024, 12, 1, tzinfo=UTC), datetime(2025, 6, 1, tzinfo=UTC))
+        assert window_dirname(window) == "2024-12_2025-05"
         assert window_dirname(None) == "all"
 
     def test_year_end_window(self):
-        start, end = parse_window("2024-11:2024-12")
-        assert end == datetime(2025, 1, 1, tzinfo=UTC)
-        assert window_dirname((start, end)) == "2024-11_2024-12"
+        window = (datetime(2024, 11, 1, tzinfo=UTC), datetime(2025, 1, 1, tzinfo=UTC))
+        assert window_dirname(window) == "2024-11_2024-12"
