@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Every command that produces a stage output does it through ``run_pipeline``:
-``polarnet run`` runs the stages a config selects, ``polarnet report`` the
-report stage of a finished run directory, and ``metrics report`` and
-``crosstopic`` every stage up to their own before printing its table.
+``polarnet run`` runs the stages a config selects, ``polarnet report`` its
+report stage, and ``metrics report`` and ``crosstopic`` every stage up to
+their own before printing its table.
 ``graph stats`` and ``groups composition`` only read files. Exit codes:
 0 success, 2 configuration error, 3 stage failure.
 """
@@ -17,12 +17,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import STAGES, config_from_dict, config_hash, config_to_dict, load_config
+from .config import STAGES, config_from_dict, config_to_dict, load_config
 from .errors import INPUT_ERRORS, ConfigError, PolarnetError
 from .graphs import network_stats
 from .groups import Partition, StanceGrouping, group_composition
 from .pipeline import load_topic_graph, read_assignment, run_dir_for, run_pipeline
-from .report import write_json
+from .report import scoreboard, write_csv_to, write_json
 
 
 # --- views of files ----------------------------------------------------------
@@ -70,13 +70,11 @@ def _through(stage):
 
 def cmd_metrics_report(args):
     _, run_dir = _run(load_config(args.config), _through("metrics"), args)
-    src = run_dir / "metrics" / (
-        "stance_report.csv" if args.grouping == "stance" else "structural_report.csv"
-    )
-    lines = src.read_text(encoding="utf-8").splitlines()
+    header, rows = scoreboard(args.grouping,
+                              run_dir / "metrics" / f"{args.grouping}_report.json")
     if args.topic != "all":
-        lines = [lines[0]] + [l for l in lines[1:] if l.startswith(f"{args.topic},")]
-    print("\n".join(lines))
+        rows = [r for r in rows if r[0] == args.topic]
+    write_csv_to(sys.stdout, header, rows)
     return 0
 
 
@@ -120,14 +118,8 @@ def _print_stages(manifests) -> None:
 
 
 def cmd_report(args):
-    run_dir = Path(args.out)
-    config = load_config(run_dir / "config.json")
-    stamped = config_hash(config)
-    if stamped != run_dir.name:
-        # checked before run_pipeline creates the run directory it names
-        raise ConfigError(f"{run_dir / 'config.json'} hashes to {stamped}, "
-                          f"not to the run directory's name {run_dir.name!r}")
-    _print_stages(run_pipeline(config, stages=["report"], run_root=run_dir.parent))
+    manifests, run_dir = _run(load_config(args.config), ["report"], args)
+    _print_stages(manifests)
     print(f"report bundle written to {run_dir / 'report'}")
     return 0
 
@@ -182,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help=RUN_ROOT_HELP)
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("report", help="run the report stage in a run directory, "
-                                      "under its config.json")
-    p.add_argument("--out", required=True, help="run directory")
+    p = sub.add_parser("report", help="run the report stage (= run --stages report)")
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", help=RUN_ROOT_HELP)
     p.set_defaults(fn=cmd_report)
 
     return parser

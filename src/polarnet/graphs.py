@@ -43,8 +43,6 @@ class BipartiteInteractions:
 
     topic: str
     window: Optional[tuple[datetime, datetime]]
-    users: set
-    posts: set
     edges: list[BipartiteEdge]
     dangling_references: int = 0
 
@@ -118,11 +116,9 @@ def build_bipartite(
         for uri, p in posts.items()
         if topic_labels.get(uri) == topic and _in_window(p.created_at, window)
     }
-    users = set()
     edges: list[BipartiteEdge] = []
     dangling = 0
     for uri, p in topic_posts.items():
-        users.add(p.author)
         edges.append(BipartiteEdge(p.author, uri, "authorship", p.created_at))
     for r in reposts:
         if not _in_window(r.timestamp, window):
@@ -130,13 +126,10 @@ def build_bipartite(
         if r.subject_uri not in topic_posts:
             dangling += 1
             continue
-        users.add(r.reposter)
         edges.append(BipartiteEdge(r.reposter, r.subject_uri, "repost", r.timestamp))
     return BipartiteInteractions(
         topic=topic,
         window=window,
-        users=users,
-        posts=set(topic_posts),
         edges=edges,
         dangling_references=dangling,
     )

@@ -177,7 +177,6 @@ class ActivityStats:
     per_type: dict[str, ActionTypeStats]
     observed_days: float
     window: Optional[tuple[date, date]]
-    daily: dict[tuple[date, str], tuple[int, int]]
     non_create_events: int = 0
     other_collection_events: int = 0
 
@@ -228,7 +227,6 @@ class StatsAccumulator:
         observed = self._observed_days(window)
 
         per_type: dict[str, ActionTypeStats] = {}
-        daily: dict[tuple[date, str], tuple[int, int]] = {}
         for kind in KINDS:
             counts = self._counts.get(kind, {})
             authors = self._authors.get(kind, {})
@@ -240,13 +238,10 @@ class StatsAccumulator:
                 daily_average_actions=total / observed if observed else 0.0,
                 daily_average_authors=author_days / observed if observed else 0.0,
             )
-            for day in counts:
-                daily[(day, kind)] = (counts[day], len(authors[day]))
         return ActivityStats(
             per_type=per_type,
             observed_days=observed,
             window=window,
-            daily=daily,
             non_create_events=self.non_create_events,
             other_collection_events=self.other_collection_events,
         )

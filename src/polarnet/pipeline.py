@@ -174,11 +174,9 @@ def read_events(paths: list[Path], window=None, downtime=None):
     return acc.finalize(), parse_errors, posts, reposts
 
 
-def write_activity_stats(stats_dir: Path, stats, parse_errors: int) -> list[Path]:
-    json_path = stats_dir / "activity_stats.json"
-    csv_path = stats_dir / "activity_daily.csv"
+def write_activity_stats(path: Path, stats, parse_errors: int) -> None:
     write_json(
-        json_path,
+        path,
         {
             "observed_days": stats.observed_days,
             "window": [d.isoformat() for d in stats.window] if stats.window else None,
@@ -188,15 +186,6 @@ def write_activity_stats(stats_dir: Path, stats, parse_errors: int) -> list[Path
             "per_type": {k: asdict(v) for k, v in stats.per_type.items()},
         },
     )
-    write_csv(
-        csv_path,
-        ["date", "action_type", "actions", "distinct_authors"],
-        [
-            [day.isoformat(), kind, actions, authors]
-            for (day, kind), (actions, authors) in sorted(stats.daily.items())
-        ],
-    )
-    return [json_path, csv_path]
 
 
 def write_posts(path: Path, posts) -> None:
@@ -340,17 +329,8 @@ def load_partition(group_dir: Path) -> Partition:
 
 
 def write_content_groups(g, stances: dict, out_dir: Path) -> list[Path]:
-    grouping = content_groups(stances, g)
-    _write_assignment(out_dir / "content.tsv", grouping.assignment)
-    write_json(
-        out_dir / "content.json",
-        {
-            "topic": g.topic,
-            "coverage": grouping.coverage,
-            "unlabeled": len(grouping.unlabeled),
-        },
-    )
-    return [out_dir / "content.tsv", out_dir / "content.json"]
+    _write_assignment(out_dir / "content.tsv", content_groups(stances, g).assignment)
+    return [out_dir / "content.tsv"]
 
 
 # --- stage implementations -------------------------------------------------
@@ -362,14 +342,15 @@ def stage_ingest(config: PipelineConfig, run_dir: Path, inputs: dict):
     dumps = input_files(config.inputs)
     stats, parse_errors, posts, reposts = read_events(dumps, config.window, config.downtime)
     corpus_dir = run_dir / "corpus"
-    outputs = write_activity_stats(run_dir / "stats", stats, parse_errors)
+    stats_path = run_dir / "stats" / "activity_stats.json"
+    write_activity_stats(stats_path, stats, parse_errors)
     filters, sample = config.filters, config.sample
     filtered = filter_corpus(sorted(posts.values(), key=lambda p: p.uri),
                              min_reposts=filters.min_reposts, min_chars=filters.min_chars,
                              lang=filters.lang)
     write_posts(corpus_dir / "filtered.jsonl", filtered)
     write_reposts(corpus_dir / "reposts.jsonl", reposts)
-    outputs += [corpus_dir / "filtered.jsonl", corpus_dir / "reposts.jsonl"]
+    outputs = [stats_path, corpus_dir / "filtered.jsonl", corpus_dir / "reposts.jsonl"]
     if sample.fraction < 1.0:
         sampled = sample_corpus(filtered, fraction=sample.fraction,
                                 seed=stage_seed(config.seed, "ingest.sample"),
@@ -465,10 +446,11 @@ def stage_groups(config: PipelineConfig, run_dir: Path, inputs: dict):
 
 
 def stage_metrics(config: PipelineConfig, run_dir: Path, inputs: dict):
-    metrics_dir = run_dir / "metrics"
+    """Write each grouping's scoreboard rows at full precision; report
+    formats them into tables 4 and 5."""
+    columns = ("topic", "mean_aei", "max_aei", "min_aei", "n_groups", "max_ds", "min_ds")
     stance_rows = []
     structural_rows = []
-    outputs = []
     for topic_id in _graph_topics(run_dir):
         spec = config.topic_by_id(topic_id)
         g, partition, content = _load_topic_results(config, run_dir, topic_id)
@@ -478,51 +460,26 @@ def stage_metrics(config: PipelineConfig, run_dir: Path, inputs: dict):
             include_neutral=config.metrics.include_neutral,
             simpson_include_neutral=config.metrics.simpson_include_neutral,
         )
-        stance_rows.append(s_report)
+        stance_rows.append(asdict(s_report))
         t_report = structural_metric_report(g, partition, grouping)
-        structural_rows.append(t_report)
-        pw_path = metrics_dir / f"pairwise_aei_{topic_id}.csv"
-        labels = t_report.pairwise.labels
-        write_csv(
-            pw_path,
-            ["group"] + [report_mod.block_letter(b) for b in labels],
-            [
-                [report_mod.block_letter(r)]
-                + [report_mod.fmt_index(t_report.pairwise.get(r, s)) for s in labels]
-                for r in labels
-            ],
-        )
-        outputs.append(pw_path)
+        structural_rows.append({c: getattr(t_report, c) for c in columns})
 
-    write_json(metrics_dir / "stance_report.json", {"rows": [asdict(r) for r in stance_rows]})
-    write_csv(
-        metrics_dir / "stance_report.csv",
-        report_mod.TABLE4_HEADER,
-        [report_mod.table4_row(r) for r in stance_rows],
-    )
-    columns = ("topic", "mean_aei", "max_aei", "min_aei", "n_groups", "max_ds", "min_ds")
-    write_json(metrics_dir / "structural_report.json",
-               {"rows": [{c: getattr(r, c) for c in columns} for r in structural_rows]})
-    write_csv(
-        metrics_dir / "structural_report.csv",
-        report_mod.TABLE5_HEADER,
-        [report_mod.table5_row(r) for r in structural_rows],
-    )
-    outputs += [
-        metrics_dir / "stance_report.json", metrics_dir / "stance_report.csv",
-        metrics_dir / "structural_report.json", metrics_dir / "structural_report.csv",
-    ]
+    metrics_dir = run_dir / "metrics"
+    outputs = [metrics_dir / "stance_report.json", metrics_dir / "structural_report.json"]
+    for path, rows in zip(outputs, (stance_rows, structural_rows)):
+        write_json(path, {"rows": rows})
     return outputs
 
 
 def stage_crosstopic(config: PipelineConfig, run_dir: Path, inputs: dict):
     topics = _graph_topics(run_dir)
+    if len(topics) < 2:
+        log.info("stage crosstopic: nothing to compare; need at least 2 topic networks, "
+                 "have %d", len(topics))
+        return []
+
     cross_dir = run_dir / "crosstopic"
     outputs = []
-    if len(topics) < 2:
-        write_json(cross_dir / "skipped.json",
-                    {"reason": f"need at least 2 topic networks, have {len(topics)}"})
-        return [cross_dir / "skipped.json"]
 
     networks = []
     stance_groupings = {}
@@ -605,6 +562,10 @@ class _StageReads(NamedTuple):
     optional: tuple[str, ...] = ()
 
 
+# the outputs of graph and of groups that later stages open
+_GRAPH_FILES = ("graphs/stats.json", "graphs/*/*/nodes.tsv", "graphs/*/*/reposts.graph")
+_GROUP_FILES = ("groups/*/partition.tsv", "groups/*/partition.json", "groups/*/content.tsv")
+
 _STAGE_READS: dict[str, _StageReads] = {
     "ingest": _StageReads(("inputs", "window", "downtime", "filters", "sample", "seed"), {}),
     "annotate": _StageReads(("annotate_on", "provider", "topics", "stance_sample_k", "seed"),
@@ -613,18 +574,18 @@ _STAGE_READS: dict[str, _StageReads] = {
                          {"ingest": ("corpus/filtered.jsonl", "corpus/reposts.jsonl"),
                           "annotate": ("labels/topics.jsonl",)}),
     "groups": _StageReads(("detection", "seed", "window"),
-                          {"annotate": ("labels/stances_*.jsonl",), "graph": ("graphs/**",)}),
+                          {"annotate": ("labels/stances_*.jsonl",), "graph": _GRAPH_FILES}),
     "metrics": _StageReads(("metrics", "topics", "window"),
-                           {"graph": ("graphs/**",), "groups": ("groups/**",)}),
+                           {"graph": _GRAPH_FILES, "groups": _GROUP_FILES}),
     "crosstopic": _StageReads(("metrics", "topics", "window"),
-                              {"graph": ("graphs/**",), "groups": ("groups/**",)}),
+                              {"graph": _GRAPH_FILES, "groups": _GROUP_FILES}),
     # summary.json stamps the whole config's hash; report renders a partial
     # bundle, so only ingest must have run
     "report": _StageReads(None, {"ingest": ("stats/activity_stats.json",),
                                  "annotate": ("labels/themes.jsonl",),
                                  "graph": ("graphs/stats.json",),
-                                 "metrics": ("metrics/stance_report.csv",
-                                             "metrics/structural_report.csv"),
+                                 "metrics": ("metrics/stance_report.json",
+                                             "metrics/structural_report.json"),
                                  "crosstopic": ("crosstopic/**",)},
                           optional=("annotate", "graph", "metrics", "crosstopic")),
 }

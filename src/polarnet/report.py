@@ -3,7 +3,9 @@
 Turns the stage artifacts into the final tables: activity totals, theme
 distribution, network properties, per-topic stance scores, structural
 scores, and the cross-topic matrices. Indices print with two decimals,
-counts with thousands separators, and undefined values as dashes.
+counts with thousands separators, and undefined values as dashes. The
+metrics stage writes its scoreboards at full precision; this module is
+the only code that formats them (``scoreboard``).
 """
 
 from __future__ import annotations
@@ -44,41 +46,51 @@ def fmt_count(value: int) -> str:
     return f"{value:,}"
 
 
-def block_letter(block) -> str:
-    if isinstance(block, int) and 0 <= block < 26:
-        return chr(ord("A") + block)
-    return str(block)
-
-
-def table4_row(r) -> list[str]:
+def table4_row(r: dict) -> list[str]:
     return [
-        r.topic,
-        fmt_index(r.fraction_a),
-        fmt_index(r.fraction_neutral),
-        fmt_index(r.fraction_b),
-        fmt_index(r.simpson),
-        fmt_index(r.assortativity),
-        fmt_index(r.aei),
-        fmt_index(r.coleman_a),
-        fmt_index(r.coleman_b),
-        r.dominant_stance,
+        r["topic"],
+        fmt_index(r["fraction_a"]),
+        fmt_index(r["fraction_neutral"]),
+        fmt_index(r["fraction_b"]),
+        fmt_index(r["simpson"]),
+        fmt_index(r["assortativity"]),
+        fmt_index(r["aei"]),
+        fmt_index(r["coleman_a"]),
+        fmt_index(r["coleman_b"]),
+        r["dominant_stance"],
     ]
 
 
-def table5_row(r) -> list[str]:
+def table5_row(r: dict) -> list[str]:
     # a single structural group has no between-group scores and no
     # per-group stance spread: everything but the group count is a dash
-    if r.n_groups <= 1:
-        return [r.topic, DASH, DASH, DASH, str(r.n_groups), DASH, DASH]
+    if r["n_groups"] <= 1:
+        return [r["topic"], DASH, DASH, DASH, str(r["n_groups"]), DASH, DASH]
     return [
-        r.topic,
-        fmt_index(r.mean_aei),
-        fmt_index(r.max_aei),
-        fmt_index(r.min_aei),
-        str(r.n_groups),
-        fmt_index(r.max_ds),
-        fmt_index(r.min_ds),
+        r["topic"],
+        fmt_index(r["mean_aei"]),
+        fmt_index(r["max_aei"]),
+        fmt_index(r["min_aei"]),
+        str(r["n_groups"]),
+        fmt_index(r["max_ds"]),
+        fmt_index(r["min_ds"]),
     ]
+
+
+# each grouping's table: its header and the formatter of one metrics row
+SCOREBOARDS = {
+    "stance": (TABLE4_HEADER, table4_row),
+    "structural": (TABLE5_HEADER, table5_row),
+}
+
+
+def scoreboard(grouping: str, src: Path) -> tuple[list[str], list[list[str]]]:
+    """Table 4 (``stance``) or table 5 (``structural``): its header and its
+    rows, formatted from the full-precision rows the metrics stage wrote
+    to ``src``."""
+    header, row = SCOREBOARDS[grouping]
+    rows = json.loads(src.read_text(encoding="utf-8"))["rows"]
+    return header, [row(r) for r in rows]
 
 
 def write_json(path: Path, payload) -> None:
@@ -88,9 +100,13 @@ def write_json(path: Path, payload) -> None:
 
 def write_csv(path: Path, header: list, rows: list) -> None:
     with open_new(path, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_csv_to(fh, header, rows)
+
+
+def write_csv_to(fh, header: list, rows: list) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _copy(src: Path, dst: Path) -> None:
@@ -168,11 +184,10 @@ def _networks(src: Path, dst: Path) -> str:
     )
 
 
-def _scoreboard(title: str, header: list, src: Path, dst: Path) -> str:
-    """Copy a metrics scoreboard into the bundle as it is."""
-    _copy(src, dst)
-    with src.open(encoding="utf-8") as fh:
-        return _pretty_table(title, header, list(csv.reader(fh))[1:])
+def _scoreboard(grouping: str, title: str, src: Path, dst: Path) -> str:
+    header, rows = scoreboard(grouping, src)
+    write_csv(dst, header, rows)
+    return _pretty_table(title, header, rows)
 
 
 # Each report section: its name in summary.json, the run-directory path it
@@ -182,10 +197,10 @@ SECTIONS = (
     ("activity", "stats/activity_stats.json", "table1_activity.csv", _activity),
     ("themes", "labels/themes.jsonl", "table2_themes.csv", _themes),
     ("networks", "graphs/stats.json", "table3_networks.csv", _networks),
-    ("stance", "metrics/stance_report.csv", "table4_stance.csv",
-     partial(_scoreboard, "Stance-group scores", TABLE4_HEADER)),
-    ("structural", "metrics/structural_report.csv", "table5_structural.csv",
-     partial(_scoreboard, "Structural-group scores", TABLE5_HEADER)),
+    ("stance", "metrics/stance_report.json", "table4_stance.csv",
+     partial(_scoreboard, "stance", "Stance-group scores")),
+    ("structural", "metrics/structural_report.json", "table5_structural.csv",
+     partial(_scoreboard, "structural", "Structural-group scores")),
 )
 
 
@@ -208,8 +223,7 @@ def render_report(config, run_dir: Path, inputs: dict[str, str]):
             outputs.append(report_dir / bundle_file)
             pretty.append(text)
 
-    cross = sorted(rel for rel in inputs
-                   if rel.startswith("crosstopic/") and rel != "crosstopic/skipped.json")
+    cross = sorted(rel for rel in inputs if rel.startswith("crosstopic/"))
     for rel in cross:
         dst = report_dir / Path(rel).name
         _copy(run_dir / rel, dst)

@@ -8,7 +8,7 @@ import pytest
 from conftest import FIXTURE_TOPICS
 from polarnet.cli import build_parser, main
 from polarnet.config import config_from_dict, config_hash
-from polarnet.pipeline import run_dir_for, run_pipeline
+from polarnet.pipeline import read_assignment, run_dir_for, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,7 @@ class TestIngestCommands:
     def test_stats(self, finished_run):
         payload = json.loads((finished_run / "stats" / "activity_stats.json").read_text())
         assert payload["per_type"]["post"]["total_actions"] > 0
-        daily = (finished_run / "stats" / "activity_daily.csv").read_text().splitlines()
-        assert daily[0] == "date,action_type,actions,distinct_authors"
+        assert payload["per_type"]["post"]["daily_average_actions"] > 0
 
     def test_stats_window_matches_pipeline(self, workspace, tmp_path, capsys):
         _, config_path, _, raw = workspace
@@ -124,7 +123,8 @@ class TestAnnotateAndGraphCommands:
         out = finished_run / "groups" / "russia_ukraine"
         meta = json.loads((out / "partition.json").read_text())
         assert meta["b"] >= 2
-        assert json.loads((out / "content.json").read_text())["topic"] == "russia_ukraine"
+        assert set(read_assignment(out / "content.tsv")) <= set(
+            read_assignment(out / "partition.tsv"))
         assert main(["groups", "composition", "--partition", str(out / "partition.tsv"),
                      "--content", str(out / "content.tsv")]) == 0
         printed = capsys.readouterr().out
@@ -168,37 +168,43 @@ class TestRunAndReport:
         assert main(["run", "--config", str(config_path), "--stages", "metrics"]) == 0
 
     def test_report_command(self, workspace, finished_run, capsys):
-        _, config_path, _, raw = workspace
-        run_dir = run_dir_for(config_from_dict(raw))
-        assert main(["report", "--out", str(run_dir)]) == 0
-        assert (run_dir / "report" / "summary.json").exists()
+        _, config_path, _, _ = workspace
+        assert main(["report", "--config", str(config_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"report bundle written to {finished_run / 'report'}")
+        assert (finished_run / "report" / "summary.json").exists()
 
-    def test_report_command_runs_the_report_stage(self, workspace, tmp_path, capsys):
+    def test_report_command_runs_the_report_stage(self, workspace, finished_run, tmp_path,
+                                                  capsys):
         # in a copy of the finished run directory, so the edit stays there
-        _, config_path, _, raw = workspace
-        assert main(["run", "--config", str(config_path)]) == 0
-        run_dir = tmp_path / run_dir_for(config_from_dict(raw)).name
-        shutil.copytree(run_dir_for(config_from_dict(raw)), run_dir)
-        assert main(["report", "--out", str(run_dir)]) == 0
-        assert main(["report", "--out", str(run_dir)]) == 0
+        _, config_path, _, _ = workspace
+        run_dir = tmp_path / finished_run.name
+        shutil.copytree(finished_run, run_dir)
+        report = ["report", "--config", str(config_path), "--out", str(tmp_path)]
+        assert main(report) == 0
+        assert main(report) == 0
         assert capsys.readouterr().out.splitlines()[-2] == "report: cached"
-        with (run_dir / "metrics" / "stance_report.csv").open("a") as fh:
-            fh.write("edited,,,,,,,,,\n")
-        assert main(["report", "--out", str(run_dir)]) == 3
+        with (run_dir / "metrics" / "stance_report.json").open("a") as fh:
+            fh.write("\n")
+        assert main(report) == 3
         err = capsys.readouterr().err
-        assert "input hash mismatch: metrics/stance_report.csv: manifest" in err
+        assert "input hash mismatch: metrics/stance_report.json: manifest" in err
 
-    def test_report_command_refuses_a_config_of_another_run(self, workspace, tmp_path,
-                                                            capsys):
-        _, _, _, raw = workspace
-        run_dir = tmp_path / "000000000000"
-        run_dir.mkdir()
-        (run_dir / "config.json").write_text(json.dumps(raw))
-        assert main(["report", "--out", str(run_dir)]) == 2
-        assert "not to the run directory's name '000000000000'" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["000000000000"]
-        with pytest.raises(SystemExit):  # no --config to render under another config
-            main(["report", "--out", str(run_dir), "--config", str(run_dir / "config.json")])
+    def test_report_command_out_is_the_run_root(self, workspace, tmp_path, capsys):
+        # --out means what it means for run: the root that holds the run
+        # directory, not the run directory
+        _, config_path, _, raw = workspace
+        root = tmp_path / "runs"
+        assert main(["report", "--config", str(config_path), "--out", str(root)]) == 3
+        assert "stage 'ingest' has no manifest" in capsys.readouterr().err
+        assert main(["run", "--config", str(config_path), "--out", str(root)]) == 0
+        assert main(["report", "--config", str(config_path), "--out", str(root)]) == 0
+        run_dir = root / config_hash(config_from_dict(raw))
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "report: cached", f"report bundle written to {run_dir / 'report'}"]
+        assert sorted(p.name for p in root.iterdir()) == [run_dir.name]
+        with pytest.raises(SystemExit):  # the config is not read from the run directory
+            main(["report", "--out", str(root)])
 
     def test_metrics_report_prints_table(self, workspace, capsys):
         _, config_path, _, _ = workspace

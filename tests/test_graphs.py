@@ -39,8 +39,6 @@ class TestBuildBipartite:
             [RepostEvent("B", "p1", T0)],
             {"p1": "russia_ukraine"},
         )
-        assert b.users == {"A", "B"}
-        assert b.posts == {"p1"}
         kinds = sorted((e.user, e.kind) for e in b.edges)
         assert kinds == [("A", "authorship"), ("B", "repost")]
 
@@ -55,7 +53,7 @@ class TestBuildBipartite:
 
     def test_empty_topic(self):
         b = make_bipartite([post("p1", "A")], [], {"p1": "other_topic"})
-        assert b.users == set() and b.posts == set() and b.edges == []
+        assert b.edges == []
 
     def test_window_excludes_out_of_range_events(self):
         window = (T0, T0 + timedelta(days=1))

@@ -393,7 +393,7 @@ class TestActivityStats:
         forward = add_all(StatsAccumulator(downtime={}), parse_stream(lines)).finalize()
         backward = add_all(StatsAccumulator(downtime={}), parse_stream(reversed(lines))).finalize()
         assert forward.per_type == backward.per_type
-        assert forward.daily == backward.daily
+        assert forward.window == backward.window
 
     def test_downtime_weighting(self):
         # window 2025-03-30 .. 2025-04-02 includes a 13h-lost day and two

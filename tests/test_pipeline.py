@@ -1,3 +1,4 @@
+import fnmatch
 import hashlib
 import json
 import logging
@@ -62,7 +63,6 @@ class TestFullRun:
         _, run_dir, _, _ = completed_run
         for rel in [
             "stats/activity_stats.json",
-            "stats/activity_daily.csv",
             "corpus/filtered.jsonl",
             "corpus/reposts.jsonl",
             "labels/themes.jsonl",
@@ -73,8 +73,8 @@ class TestFullRun:
             "graphs/russia_ukraine/2025-01_2025-03/nodes.tsv",
             "groups/russia_ukraine/partition.tsv",
             "groups/russia_ukraine/partition.json",
-            "metrics/stance_report.csv",
-            "metrics/structural_report.csv",
+            "metrics/stance_report.json",
+            "metrics/structural_report.json",
             "crosstopic/overlap.csv",
             "crosstopic/hyperedges.json",
             "crosstopic/alignment_content.csv",
@@ -97,12 +97,21 @@ class TestFullRun:
                      "metrics/stance_report.json", "metrics/structural_report.json",
                      "crosstopic/hyperedges.json"]
         unstamped += [str(p.relative_to(run_dir)) for p in run_dir.glob("groups/*/*.json")]
-        assert len(unstamped) == 5 + 2 * 4
+        assert len(unstamped) == 5 + 4
         for rel in unstamped:
             assert "config_hash" not in json.loads((run_dir / rel).read_text()), rel
         manifest = json.loads((run_dir / "manifests" / "report.json").read_text())
         assert manifest["key"] == pipeline.stage_key("report", pipeline.config_json(config),
                                                      manifest["inputs"])
+
+    def test_no_stage_reads_the_repost_csvs(self, completed_run):
+        # the stages that read graph outputs declare the files they open,
+        # not all of graphs/
+        _, _, manifests, _ = completed_run
+        inputs = {m.stage: m.inputs for m in manifests}
+        for stage in ("groups", "metrics", "crosstopic"):
+            assert inputs[stage], stage
+            assert not [rel for rel in inputs[stage] if rel.endswith("/reposts.csv")], stage
 
     def test_partition_diagnostics_recorded(self, completed_run):
         config, run_dir, _, _ = completed_run
@@ -530,10 +539,10 @@ class TestDegenerateConfigs:
         gstats = json.loads((run_dir / "graphs" / "stats.json").read_text())
         empty = [t for t, s in gstats["topics"].items() if s["edges"] == 0]
         assert len(empty) == 6
-        rows = (run_dir / "metrics" / "stance_report.csv").read_text().splitlines()
-        assert len(rows) - 1 == 4
+        rows = json.loads((run_dir / "metrics" / "stance_report.json").read_text())["rows"]
+        assert len(rows) == 4
 
-    def test_single_topic_crosstopic_skips(self, event_fixture, tmp_path):
+    def test_single_topic_crosstopic_skips(self, event_fixture, tmp_path, caplog):
         from polarnet.config import config_from_dict
 
         event_path, _ = event_fixture
@@ -548,9 +557,12 @@ class TestDegenerateConfigs:
                 ],
             }
         )
-        run_pipeline(config)
+        with caplog.at_level(logging.INFO, logger="polarnet"):
+            manifests = run_pipeline(config)
+        assert "need at least 2 topic networks, have 1" in caplog.text
+        assert {m.stage: m.outputs for m in manifests}["crosstopic"] == {}
         run_dir = run_dir_for(config)
-        assert (run_dir / "crosstopic" / "skipped.json").exists()
+        assert not (run_dir / "crosstopic").exists()
         summary = json.loads((run_dir / "report" / "summary.json").read_text())
         assert summary["sections"]["crosstopic"] == "missing"
 
@@ -685,19 +697,26 @@ def stage_opens(monkeypatch):
     return opened
 
 
+def opened_in(run_dir: Path, paths: list) -> set[str]:
+    """The files under ``run_dir`` among the opened ``paths``, relative to it."""
+    root = os.path.realpath(run_dir)
+    rels = set()
+    for path in paths:
+        if isinstance(path, int):
+            continue  # a file descriptor: its path was checked when it was opened
+        full = os.path.realpath(os.fsdecode(path))
+        if os.path.commonpath([full, root]) == root:
+            rels.add(os.path.relpath(full, root))
+    return rels
+
+
 def assert_opens_declared(manifests, opened: dict, run_dir: Path) -> None:
     """Each file under ``run_dir`` that a stage which ran opened is one of
     its recorded inputs or outputs."""
-    root = os.path.realpath(run_dir)
     for m in manifests:
         assert not m.cached, m.stage
-        for path in opened[m.stage]:
-            if isinstance(path, int):
-                continue  # a file descriptor: its path was checked when it was opened
-            full = os.path.realpath(os.fsdecode(path))
-            if os.path.commonpath([full, root]) == root:
-                rel = os.path.relpath(full, root)
-                assert rel in m.inputs or rel in m.outputs, (m.stage, rel)
+        for rel in sorted(opened_in(run_dir, opened[m.stage])):
+            assert rel in m.inputs or rel in m.outputs, (m.stage, rel)
 
 
 def test_c8_stages_open_only_what_they_declare(event_fixture, tmp_path, stage_opens):
@@ -705,6 +724,32 @@ def test_c8_stages_open_only_what_they_declare(event_fixture, tmp_path, stage_op
     config = fixture_config(event_path, tmp_path)
     manifests = run_pipeline(config)
     assert_opens_declared(manifests, stage_opens, run_dir_for(config))
+
+
+# Stage outputs that no later stage opens, each with the reason it is kept.
+UNREAD_OUTPUTS = {
+    "graphs/*/*/reposts.csv": "the benchmark's tracer wraps pipeline.export_csv by name, "
+                              "so the file goes together with that wrapper",
+}
+
+
+def test_c8_every_output_is_opened_by_a_later_stage(event_fixture, tmp_path, stage_opens):
+    # an output nothing reads is still written, hashed, linked on reuse and
+    # pinned in GOLDEN; only the report's outputs are read by people
+    event_path, _ = event_fixture
+    config = fixture_config(event_path, tmp_path)
+    manifests = run_pipeline(config)
+    run_dir = run_dir_for(config)
+    opened_later: set[str] = set()
+    for m in reversed(manifests):
+        if m.stage != "report":
+            unread = [rel for rel in m.outputs if rel not in opened_later
+                      and not any(fnmatch.fnmatch(rel, p) for p in UNREAD_OUTPUTS)]
+            assert not unread, (m.stage, unread)
+        opened_later |= opened_in(run_dir, stage_opens[m.stage])
+    outputs = [rel for m in manifests for rel in m.outputs]
+    for pattern in UNREAD_OUTPUTS:
+        assert fnmatch.filter(outputs, pattern), f"{pattern} is no longer written"
 
 
 def in_root_of(base: PipelineConfig, root: Path) -> Path:
@@ -959,32 +1004,24 @@ GOLDEN = {
         "ef93f0bdc778c71946a0b777ecff601a6213d91e3c37999db573429c9d9a3c70",
     "graphs/trump_administration/2025-01_2025-03/reposts.graph":
         "420af5e8f95f09a458edc72cbe0a1c3d4655832f3aa583839b4d545b9934be3c",
-    "groups/ai/content.json":
-        "446f15f81a321f0b1184f79f7230675b0352fb1079f807a935904b55b78bd01a",
     "groups/ai/content.tsv":
         "9af1e2eb29bbef7e6114141f7a15545fae1c302aa539456e902338c3308a5108",
     "groups/ai/partition.json":
         "d2fb2bef0431d85279ac1deb2320b2794303ffc594d56223fe93f82d96ec64fc",
     "groups/ai/partition.tsv":
         "fea55d6c06cd227bc11001223ab67d0ab1f32eaa1cf305a84d816b4a5173dee2",
-    "groups/russia_ukraine/content.json":
-        "dd0fef18584e80609114536b14e78e6ed0e9a96377395edf011b9f2c63502b21",
     "groups/russia_ukraine/content.tsv":
         "47db1362aaef67d9b764a395604937cf1d83afb4a8408e3dc7f7ea1d0b03d7bf",
     "groups/russia_ukraine/partition.json":
         "93089a08e9e3647d8ab023fbf71fe7013402454de3a0df7daa353fd81d9ae6c7",
     "groups/russia_ukraine/partition.tsv":
         "e7c31206ff125f4fae19c72d00e159112a90445c1f50aa34144b75ecfb8f1789",
-    "groups/tiktok_ban/content.json":
-        "cfc2751adcb46d5ce70fe757a25154827f76403eabe020a51c42435c36780cb1",
     "groups/tiktok_ban/content.tsv":
         "8511d0e04ff793ec7a2ba82dfc00c9f9138a9a09f4a3a62f14d0a669ef165174",
     "groups/tiktok_ban/partition.json":
         "eb87f27dd874d42a9d16408fa0f450b713c5afd92de98bcd71132caa9f707bcc",
     "groups/tiktok_ban/partition.tsv":
         "9fbf85147341eb9d9046626a344e069a8b40a407c3fea6ea5b1928432a2e1c45",
-    "groups/trump_administration/content.json":
-        "6fb221ecab0a8019e217f08c14bf40ed7abcded9ca89f8377bc0ca24177df4e2",
     "groups/trump_administration/content.tsv":
         "92ad7242d972c011273621145660c63d2197a3f7e64977f70fe1d260f7a506de",
     "groups/trump_administration/partition.json":
@@ -1003,20 +1040,8 @@ GOLDEN = {
         "42a71c30cb8823a348e7c94b6d849ec9be596e845bbf92fcdedba9187685fdc1",
     "labels/topics.jsonl":
         "79218c9a3136c226cd09df1954df8249cf8e7f20810fec63a8584ee6507151fc",
-    "metrics/pairwise_aei_ai.csv":
-        "d83e0fbc7e31b43cbd25f2be05f55f52c907cf815737ba563002e7a248f8dd25",
-    "metrics/pairwise_aei_russia_ukraine.csv":
-        "487e8d64f9575decf3482f4b9b38f2eaa0207c0309df869d94659d863a9b709f",
-    "metrics/pairwise_aei_tiktok_ban.csv":
-        "d83e0fbc7e31b43cbd25f2be05f55f52c907cf815737ba563002e7a248f8dd25",
-    "metrics/pairwise_aei_trump_administration.csv":
-        "37daecd24cb29112eb25d2bac32248545dc26e47c8df8a9d9d591e068344fb6a",
-    "metrics/stance_report.csv":
-        "01869d1eb17ad31bc38555b8a8aab4f4f5c86d4e25d6b8657cd777dc5194dbb7",
     "metrics/stance_report.json":
         "3f25066f2c1840d8309c36bec9ebfac47409cddff71dfd25da498dd45a18e4fa",
-    "metrics/structural_report.csv":
-        "35dd60b698ccd1c001a165a6e2f81b28cb15c3f76e399e69b46ac08ce1174628",
     "metrics/structural_report.json":
         "3d4cb8316385784c2cb4488c31d938f877b85b67afbe9ae5af5ad2b2929e2153",
     "report/alignment_content.csv":
@@ -1053,8 +1078,6 @@ GOLDEN = {
         "01869d1eb17ad31bc38555b8a8aab4f4f5c86d4e25d6b8657cd777dc5194dbb7",
     "report/table5_structural.csv":
         "35dd60b698ccd1c001a165a6e2f81b28cb15c3f76e399e69b46ac08ce1174628",
-    "stats/activity_daily.csv":
-        "d76f83b352f89fc562a49560e482823a5464a019762823cf3fc24cc5663d8fb9",
     "stats/activity_stats.json":
         "b4683bc145e4e855a725be345518c8bc271897a1cfc7490bb5274be3a454979c",
 }
