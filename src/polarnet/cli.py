@@ -20,7 +20,7 @@ from pathlib import Path
 from .config import STAGES, config_from_dict, config_to_dict, load_config
 from .errors import INPUT_ERRORS, ConfigError, PolarnetError
 from .graphs import network_stats
-from .groups import Partition, StanceGrouping, group_composition
+from .groups import Partition, group_composition
 from .pipeline import load_topic_graph, read_assignment, run_dir_for, run_pipeline
 from .report import scoreboard, write_csv_to, write_json
 
@@ -42,11 +42,7 @@ def cmd_groups_composition(args):
     assignment = read_assignment(args.partition, int)
     stances = read_assignment(args.content)
     partition = Partition(assignment, len(set(assignment.values())), 0.0)
-    grouping = StanceGrouping(
-        "", stances, len(stances) / len(assignment) if assignment else 0.0,
-        set(assignment) - set(stances),
-    )
-    payload = asdict(group_composition(partition, grouping))
+    payload = asdict(group_composition(partition, stances))
     if args.out:
         write_json(Path(args.out), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -69,7 +65,10 @@ def _through(stage):
 
 
 def cmd_metrics_report(args):
-    _, run_dir = _run(load_config(args.config), _through("metrics"), args)
+    config = load_config(args.config)
+    if args.topic != "all":
+        config.topic_by_id(args.topic)  # an unknown id is a config error
+    _, run_dir = _run(config, _through("metrics"), args)
     header, rows = scoreboard(args.grouping,
                               run_dir / "metrics" / f"{args.grouping}_report.json")
     if args.topic != "all":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .graphs import TopicNetwork
 
@@ -25,8 +25,9 @@ NMI_NORMALIZATIONS = {
 
 
 @dataclass
-class OverlapMatrix:
-    """Symmetric Jaccard matrix over an ordered topic list."""
+class TopicMatrix:
+    """Symmetric score matrix (user overlap or alignment) over an ordered
+    topic list."""
 
     topics: list[str]
     values: list[list[Optional[float]]]
@@ -37,31 +38,34 @@ class OverlapMatrix:
 
 @dataclass
 class TopicHypergraph:
-    topics: list[str]
     hyperedges: list[tuple[str, ...]]
     threshold: float
     inclusive: bool
 
 
 @dataclass
-class AlignmentMatrix:
-    topics: list[str]
-    values: list[list[Optional[float]]]
-    source: str  # content | structural
-
-    def get(self, x: str, y: str) -> Optional[float]:
-        return self.values[self.topics.index(x)][self.topics.index(y)]
-
-
-@dataclass
 class JointStanceTable:
     """Empirical joint stance distribution for one topic pair."""
 
-    topic_x: str
-    topic_y: str
     values: list[list[float]]  # rows follow STANCE_ORDER for x, columns for y
-    n_shared: int
     order: tuple[str, str, str] = STANCE_ORDER
+
+
+def _symmetric(topics: list[str], items: Sequence, score: Callable) -> TopicMatrix:
+    """``score`` of every pair of ``items`` (diagonal included), computed
+    once per unordered pair."""
+    n = len(topics)
+    values: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            values[i][j] = values[j][i] = score(items[i], items[j])
+    return TopicMatrix(topics=topics, values=values)
+
+
+def _joint_counts(gx: Mapping, gy: Mapping) -> Counter:
+    """(label in x, label in y) -> number of users labeled in both,
+    counted in sorted user order so every later sum is hash-independent."""
+    return Counter((gx[u], gy[u]) for u in sorted(gx.keys() & gy.keys()))
 
 
 def jaccard(v_x: set, v_y: set) -> Optional[float]:
@@ -71,20 +75,11 @@ def jaccard(v_x: set, v_y: set) -> Optional[float]:
     return len(v_x & v_y) / union
 
 
-def jaccard_matrix(networks: Sequence[TopicNetwork]) -> OverlapMatrix:
+def jaccard_matrix(networks: Sequence[TopicNetwork]) -> TopicMatrix:
     """Pairwise user overlap between topic networks."""
     if len(networks) < 2:
         raise ValueError("need at least two networks")
-    topics = [g.topic for g in networks]
-    node_sets = [set(g.nodes) for g in networks]
-    n = len(networks)
-    values: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            score = jaccard(node_sets[i], node_sets[j])
-            values[i][j] = score
-            values[j][i] = score
-    return OverlapMatrix(topics=topics, values=values)
+    return _symmetric([g.topic for g in networks], [set(g.nodes) for g in networks], jaccard)
 
 
 def _maximal_cliques(nodes: list, neighbors: Mapping) -> list[frozenset]:
@@ -106,7 +101,7 @@ def _maximal_cliques(nodes: list, neighbors: Mapping) -> list[frozenset]:
 
 
 def topic_hypergraph(
-    m: OverlapMatrix, threshold: float = 0.2, inclusive: bool = False
+    m: TopicMatrix, threshold: float = 0.2, inclusive: bool = False
 ) -> TopicHypergraph:
     """Bundle topics into maximal cliques of the thresholded overlap graph.
 
@@ -131,10 +126,7 @@ def topic_hypergraph(
     hyperedges = sorted(
         tuple(sorted(c)) for c in cliques if len(c) >= 2
     )
-    return TopicHypergraph(
-        topics=list(topics), hyperedges=hyperedges, threshold=threshold,
-        inclusive=inclusive,
-    )
+    return TopicHypergraph(hyperedges=hyperedges, threshold=threshold, inclusive=inclusive)
 
 
 def nmi_alignment(
@@ -149,17 +141,15 @@ def nmi_alignment(
     """
     if normalization not in NMI_NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    shared = set(gx) & set(gy)
-    n = len(shared)
+    joint = _joint_counts(gx, gy)
+    n = sum(joint.values())
     if n < 2:
         return None
-    joint: Counter = Counter()
     mx: Counter = Counter()
     my: Counter = Counter()
-    for u in shared:
-        joint[(gx[u], gy[u])] += 1
-        mx[gx[u]] += 1
-        my[gy[u]] += 1
+    for (a, b), c in joint.items():
+        mx[a] += c
+        my[b] += c
     h_x = -sum((c / n) * math.log(c / n) for c in mx.values())
     h_y = -sum((c / n) * math.log(c / n) for c in my.values())
     if h_x == 0.0 or h_y == 0.0:
@@ -173,40 +163,26 @@ def nmi_alignment(
 
 
 def alignment_matrix(
-    groupings: Mapping[str, Mapping], source: str, normalization: str = "mean"
-) -> AlignmentMatrix:
-    """Pairwise NMI across topics; diagonal entries are exact 1 by identity."""
+    groupings: Mapping[str, Mapping], normalization: str = "mean"
+) -> TopicMatrix:
+    """Pairwise NMI across topics, in sorted topic order."""
     topics = sorted(groupings)
-    n = len(topics)
-    values: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            score = nmi_alignment(
-                groupings[topics[i]], groupings[topics[j]], normalization
-            )
-            values[i][j] = score
-            values[j][i] = score
-    return AlignmentMatrix(topics=topics, values=values, source=source)
+    return _symmetric(topics, [groupings[t] for t in topics],
+                      lambda gx, gy: nmi_alignment(gx, gy, normalization))
 
 
 def joint_stance_table(
-    sx: Mapping[str, str], sy: Mapping[str, str], topic_x: str = "x", topic_y: str = "y"
+    sx: Mapping[str, str], sy: Mapping[str, str]
 ) -> Optional[JointStanceTable]:
     """3x3 joint distribution of stances over the shared users.
 
     None when the topics share no classified users. Cells follow the
     for/neutral/against order on both axes and sum to 1.
     """
-    shared = set(sx) & set(sy)
-    if not shared:
+    counts = _joint_counts(sx, sy)
+    n = sum(counts.values())
+    if n == 0:
         return None
-    counts: Counter = Counter()
-    for u in shared:
-        counts[(sx[u], sy[u])] += 1
-    n = len(shared)
-    values = [
-        [counts.get((a, b), 0) / n for b in STANCE_ORDER] for a in STANCE_ORDER
-    ]
     return JointStanceTable(
-        topic_x=topic_x, topic_y=topic_y, values=values, n_shared=n
+        values=[[counts[a, b] / n for b in STANCE_ORDER] for a in STANCE_ORDER]
     )

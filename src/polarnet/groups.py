@@ -45,16 +45,6 @@ class RunRecord:
 
 
 @dataclass
-class StanceGrouping:
-    """Stance labels restricted to one network's node set."""
-
-    topic: str
-    assignment: dict
-    coverage: float
-    unlabeled: set
-
-
-@dataclass
 class BlockComposition:
     block: int
     size: int
@@ -428,27 +418,24 @@ def detect_structural_groups_with_diagnostics(
     return Partition(assignment=canon, b=b, dl=dl), records
 
 
-def content_groups(stances: Mapping[str, str], g: TopicNetwork) -> StanceGrouping:
-    """Restrict user -> stance labels to the network's nodes and report coverage."""
-    assignment = {n: stances[n] for n in g.nodes if n in stances}
-    unlabeled = set(g.nodes) - set(assignment)
-    coverage = len(assignment) / len(g.nodes) if g.nodes else 0.0
-    return StanceGrouping(
-        topic=g.topic, assignment=assignment, coverage=coverage, unlabeled=unlabeled
-    )
+def content_groups(stances: Mapping[str, str], g: TopicNetwork) -> dict[str, str]:
+    """The user -> stance labels of the network's nodes."""
+    return {n: stances[n] for n in g.nodes if n in stances}
 
 
-def group_composition(p: Partition, s: StanceGrouping) -> GroupComposition:
+def group_composition(p: Partition, stances: Mapping[str, str]) -> GroupComposition:
     """Stance make-up of each structural block.
 
     The dominant stance is the globally most frequent stance across all
     labeled nodes; each block's dominant-stance fraction is computed over
-    its labeled members only, with unlabeled members reported in their own
-    histogram bin.
+    its labeled members only, with partition nodes that carry no label
+    reported in their own "unlabeled" histogram bin. Every labeled node
+    must be in the partition.
     """
-    if set(p.assignment) != set(s.assignment) | s.unlabeled:
-        raise ValueError("partition and stance grouping cover different node sets")
-    global_counts = Counter(s.assignment.values())
+    outside = set(stances) - set(p.assignment)
+    if outside:
+        raise ValueError(f"{len(outside)} labeled nodes are not in the partition")
+    global_counts = Counter(stances.values())
     dominant = None
     if global_counts:
         # deterministic tie-break: highest count, then stance name
@@ -460,7 +447,7 @@ def group_composition(p: Partition, s: StanceGrouping) -> GroupComposition:
     for b in sorted(members):
         hist: Counter = Counter()
         for node in members[b]:
-            hist[s.assignment.get(node, "unlabeled")] += 1
+            hist[stances.get(node, "unlabeled")] += 1
         labeled = sum(c for stance, c in hist.items() if stance != "unlabeled")
         fraction = hist.get(dominant, 0) / labeled if labeled and dominant else None
         blocks.append(

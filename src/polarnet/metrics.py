@@ -1,7 +1,8 @@
 """Per-network polarization and homophily scores.
 
-All scores are pure functions of an immutable graph view annotated with
-group labels. Edge multiplicities always count; nodes without a label are
+All network scores are pure functions of a grouped view: the group sizes
+and the table of edge counts between groups, built in one pass over the
+network. Edge multiplicities always count; nodes without a label are
 never scored. Undefined values (empty groups, zero densities) are
 reported as None and rendered as dashes downstream.
 """
@@ -10,41 +11,35 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .annotate import TopicSpec
 from .graphs import TopicNetwork
-from .groups import GroupComposition, Partition, StanceGrouping, group_composition
+from .groups import Partition, group_composition
 
 
 class GroupedGraphView:
-    """A topic network together with a node -> group labeling.
+    """A topic network's group sizes and mixing table under a node -> group
+    labeling.
 
     Only nodes present in the network and carrying a label are scored;
     edges with an unlabeled endpoint are invisible to every metric.
+    ``mix`` maps each (source group, target group) pair to its edge
+    multiplicity (Newman, PRE 67, 026126, 2003), in order of first
+    appearance among the network's edges; every score reads only it and
+    ``sizes``.
     """
 
     def __init__(self, graph: TopicNetwork, groups: Mapping):
-        self.graph = graph
-        self.groups = {n: g for n, g in groups.items() if n in graph.nodes}
-        self.sizes = Counter(self.groups.values())
-
-    def labeled_edges(self) -> Iterable[tuple]:
-        groups = self.groups
-        for (u, v), c in self.graph.multiplicity.items():
+        groups = {n: g for n, g in groups.items() if n in graph.nodes}
+        self.sizes = Counter(groups.values())
+        self.mix: Counter = Counter()
+        for (u, v), c in graph.multiplicity.items():
             gu = groups.get(u)
-            if gu is None:
-                continue
-            gv = groups.get(v)
-            if gv is None:
-                continue
-            yield u, v, gu, gv, c
-
-    def restrict(self, keep: Iterable) -> "GroupedGraphView":
-        keep = set(keep)
-        return GroupedGraphView(
-            self.graph, {n: g for n, g in self.groups.items() if g in keep}
-        )
+            if gu is not None:
+                gv = groups.get(v)
+                if gv is not None:
+                    self.mix[gu, gv] += c
 
 
 def aei(view: GroupedGraphView, x=None, y=None) -> Optional[float]:
@@ -53,26 +48,25 @@ def aei(view: GroupedGraphView, x=None, y=None) -> Optional[float]:
     d_int pools the ordered-pair edge densities inside x and inside y,
     d_ext is the cross density, and the score is their normalized
     difference in [-1, 1]: higher means connections concentrate within
-    groups. None when there are no edges among the scored nodes.
+    groups. Other groups' nodes and edges do not count. None when there
+    are no edges within or between x and y.
     """
     if x is None or y is None:
         present = sorted(view.sizes)
         if len(present) != 2:
             raise ValueError(f"view has {len(present)} groups; pass x and y explicitly")
         x, y = present
+    if x == y:
+        raise ValueError("x and y must be different groups")
     n_x = view.sizes.get(x, 0)
     n_y = view.sizes.get(y, 0)
     if n_x == 0 or n_y == 0:
         raise ValueError("both groups must be non-empty")
     if n_x + n_y < 2:
         raise ValueError("need at least two scored nodes")
-    m_in = 0
-    m_ext = 0
-    for _u, _v, gu, gv, c in view.labeled_edges():
-        if gu == x and gv == x or gu == y and gv == y:
-            m_in += c
-        elif (gu == x and gv == y) or (gu == y and gv == x):
-            m_ext += c
+    mix = view.mix
+    m_in = mix[x, x] + mix[y, y]
+    m_ext = mix[x, y] + mix[y, x]
     pairs_in = n_x * (n_x - 1) + n_y * (n_y - 1)
     pairs_ext = 2 * n_x * n_y
     d_int = m_in / pairs_in if pairs_in else 0.0
@@ -85,38 +79,26 @@ def aei(view: GroupedGraphView, x=None, y=None) -> Optional[float]:
 
 @dataclass
 class PairwiseAEI:
-    """Symmetric between-group score matrix with its summary values."""
+    """Summary of the aei scores of every pair of groups."""
 
-    labels: list
-    values: dict
     mean: Optional[float]
     max: Optional[float]
     min: Optional[float]
 
-    def get(self, r, s) -> Optional[float]:
-        if r == s:
-            return None
-        key = (r, s) if (r, s) in self.values else (s, r)
-        return self.values.get(key)
-
 
 def pairwise_aei(view: GroupedGraphView) -> PairwiseAEI:
-    """aei for every unordered pair of groups; empty when only one group."""
+    """aei for every unordered pair of groups; all None when no pair has a
+    defined score (for example with only one group)."""
     labels = sorted(view.sizes)
-    values: dict = {}
     defined = []
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
-            pair_view = view.restrict([labels[i], labels[j]])
-            score = aei(pair_view, labels[i], labels[j])
-            values[(labels[i], labels[j])] = score
+            score = aei(view, labels[i], labels[j])
             if score is not None:
                 defined.append(score)
     if not defined:
-        return PairwiseAEI(labels, values, None, None, None)
-    return PairwiseAEI(
-        labels, values, sum(defined) / len(defined), max(defined), min(defined)
-    )
+        return PairwiseAEI(None, None, None)
+    return PairwiseAEI(sum(defined) / len(defined), max(defined), min(defined))
 
 
 def assortativity(view: GroupedGraphView) -> Optional[float]:
@@ -124,23 +106,21 @@ def assortativity(view: GroupedGraphView) -> Optional[float]:
 
     r = (sum_g e_gg - sum_g a_g b_g) / (1 - sum_g a_g b_g), where e is the
     fraction of edges from source group to target group and a, b are its
-    row and column sums. None when all edge mass sits in one group.
+    row and column sums. None when all edge mass sits in one group. Every
+    sum runs in ``mix`` order, so the value does not depend on hashing.
     """
-    e: dict = defaultdict(float)
-    total = 0
-    for _u, _v, gu, gv, c in view.labeled_edges():
-        e[(gu, gv)] += c
-        total += c
+    total = sum(view.mix.values())
     if total == 0:
         return None
+    trace = 0.0
     a: dict = defaultdict(float)
     b: dict = defaultdict(float)
-    for (gu, gv), w in e.items():
+    for (gu, gv), w in view.mix.items():
         frac = w / total
-        e[(gu, gv)] = frac
+        if gu == gv:
+            trace += frac
         a[gu] += frac
         b[gv] += frac
-    trace = sum(e.get((g, g), 0.0) for g in set(a) | set(b))
     ab = sum(a[g] * b.get(g, 0.0) for g in a)
     if 1.0 - ab == 0.0:
         return None
@@ -161,16 +141,10 @@ def coleman(view: GroupedGraphView, group) -> Optional[float]:
     n_total = sum(view.sizes.values())
     if n_total <= 1:
         return None
-    out_total = 0
-    out_internal = 0
-    for _u, _v, gu, gv, c in view.labeled_edges():
-        if gu == group:
-            out_total += c
-            if gv == group:
-                out_internal += c
+    out_total = sum(c for (gu, _gv), c in view.mix.items() if gu == group)
     if out_total == 0:
         return None
-    w = out_internal / out_total
+    w = view.mix[group, group] / out_total
     p = (n_g - 1) / (n_total - 1)
     if w >= p:
         if p == 1.0:
@@ -197,9 +171,9 @@ def simpson(fractions: Mapping[str, float], include_neutral: bool = False) -> Op
     return 1.0 - sum((v / total) ** 2 for v in parts.values())
 
 
-def stance_fractions(grouping: StanceGrouping) -> dict[str, float]:
+def stance_fractions(grouping: Mapping[str, str]) -> dict[str, float]:
     """for/neutral/against shares over the labeled nodes."""
-    counts = Counter(grouping.assignment.values())
+    counts = Counter(grouping.values())
     labeled = sum(counts.values())
     if labeled == 0:
         return {"for": 0.0, "neutral": 0.0, "against": 0.0}
@@ -226,28 +200,28 @@ class MetricReport:
 
 def stance_metric_report(
     g: TopicNetwork,
-    grouping: StanceGrouping,
+    grouping: Mapping[str, str],
     topic_spec: TopicSpec,
     include_neutral: bool = False,
     simpson_include_neutral: bool = False,
 ) -> MetricReport:
     """Assemble the stance-grouping scores for one topic network.
 
-    A is the larger of the two opposing camps, B the smaller. Neutral
-    nodes are excluded from the structural scores unless include_neutral
-    adds them as their own category.
+    ``grouping`` is the network's content grouping (``content_groups``);
+    coverage is its share of the network's nodes. A is the larger of the
+    two opposing camps, B the smaller. Neutral nodes are excluded from the
+    structural scores unless include_neutral adds them as their own
+    category.
     """
     fractions = stance_fractions(grouping)
     camp_a, camp_b = ("for", "against")
     if fractions["against"] > fractions["for"]:
         camp_a, camp_b = ("against", "for")
     scored_groups = ("for", "neutral", "against") if include_neutral else ("for", "against")
-    view = GroupedGraphView(
-        g, {n: s for n, s in grouping.assignment.items() if s in scored_groups}
-    )
+    view = GroupedGraphView(g, {n: s for n, s in grouping.items() if s in scored_groups})
     aei_score = None
     if view.sizes.get(camp_a) and view.sizes.get(camp_b):
-        aei_score = aei(view.restrict([camp_a, camp_b]), camp_a, camp_b)
+        aei_score = aei(view, camp_a, camp_b)
     coleman_a = coleman(view, camp_a) if view.sizes.get(camp_a) else None
     coleman_b = coleman(view, camp_b) if view.sizes.get(camp_b) else None
     dominant = max(
@@ -265,13 +239,13 @@ def stance_metric_report(
         coleman_b=coleman_b,
         dominant_stance=topic_spec.stance_display(dominant),
         majority_camp=topic_spec.stance_display(camp_a),
-        coverage=grouping.coverage,
+        coverage=len(grouping) / len(g.nodes) if g.nodes else 0.0,
     )
 
 
 @dataclass
 class StructuralReport:
-    """One row of the structural-grouping scoreboard."""
+    """One row of the structural-grouping scoreboard (table 5)."""
 
     topic: str
     mean_aei: Optional[float]
@@ -280,17 +254,14 @@ class StructuralReport:
     n_groups: int
     max_ds: Optional[float]
     min_ds: Optional[float]
-    pairwise: PairwiseAEI
-    composition: GroupComposition
 
 
 def structural_metric_report(
     g: TopicNetwork,
     partition: Partition,
-    grouping: StanceGrouping,
+    grouping: Mapping[str, str],
 ) -> StructuralReport:
-    view = GroupedGraphView(g, partition.assignment)
-    pw = pairwise_aei(view)
+    pw = pairwise_aei(GroupedGraphView(g, partition.assignment))
     comp = group_composition(partition, grouping)
     return StructuralReport(
         topic=g.topic,
@@ -300,6 +271,4 @@ def structural_metric_report(
         n_groups=partition.b,
         max_ds=comp.max_ds,
         min_ds=comp.min_ds,
-        pairwise=pw,
-        composition=comp,
     )

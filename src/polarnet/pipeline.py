@@ -329,7 +329,7 @@ def load_partition(group_dir: Path) -> Partition:
 
 
 def write_content_groups(g, stances: dict, out_dir: Path) -> list[Path]:
-    _write_assignment(out_dir / "content.tsv", content_groups(stances, g).assignment)
+    _write_assignment(out_dir / "content.tsv", content_groups(stances, g))
     return [out_dir / "content.tsv"]
 
 
@@ -448,21 +448,19 @@ def stage_groups(config: PipelineConfig, run_dir: Path, inputs: dict):
 def stage_metrics(config: PipelineConfig, run_dir: Path, inputs: dict):
     """Write each grouping's scoreboard rows at full precision; report
     formats them into tables 4 and 5."""
-    columns = ("topic", "mean_aei", "max_aei", "min_aei", "n_groups", "max_ds", "min_ds")
     stance_rows = []
     structural_rows = []
     for topic_id in _graph_topics(run_dir):
         spec = config.topic_by_id(topic_id)
         g, partition, content = _load_topic_results(config, run_dir, topic_id)
-        grouping = content_groups(content, g)
         s_report = stance_metric_report(
-            g, grouping, spec,
+            g, content, spec,
             include_neutral=config.metrics.include_neutral,
             simpson_include_neutral=config.metrics.simpson_include_neutral,
         )
         stance_rows.append(asdict(s_report))
-        t_report = structural_metric_report(g, partition, grouping)
-        structural_rows.append({c: getattr(t_report, c) for c in columns})
+        t_report = structural_metric_report(g, partition, content)
+        structural_rows.append(asdict(t_report))
 
     metrics_dir = run_dir / "metrics"
     outputs = [metrics_dir / "stance_report.json", metrics_dir / "structural_report.json"]
@@ -510,7 +508,7 @@ def stage_crosstopic(config: PipelineConfig, run_dir: Path, inputs: dict):
     for source, groupings in (
         ("content", stance_groupings), ("structural", structural_groupings)
     ):
-        m = alignment_matrix(groupings, source, config.metrics.nmi_normalization)
+        m = alignment_matrix(groupings, config.metrics.nmi_normalization)
         path = cross_dir / f"alignment_{source}.csv"
         _write_matrix(path, m)
         outputs.append(path)
@@ -518,7 +516,7 @@ def stage_crosstopic(config: PipelineConfig, run_dir: Path, inputs: dict):
     for i in range(len(topics)):
         for j in range(i + 1, len(topics)):
             x, y = topics[i], topics[j]
-            table = joint_stance_table(stance_groupings[x], stance_groupings[y], x, y)
+            table = joint_stance_table(stance_groupings[x], stance_groupings[y])
             path = cross_dir / f"joint_{x}__{y}.csv"
             if table is None:
                 write_csv(path, ["note"], [["no shared classified users"]])

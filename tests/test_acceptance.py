@@ -20,7 +20,7 @@ from polarnet.ingest import (
     parse_event,
     parse_stream,
 )
-from polarnet.crosstopic import OverlapMatrix, nmi_alignment, topic_hypergraph
+from polarnet.crosstopic import TopicMatrix, nmi_alignment, topic_hypergraph
 from polarnet.metrics import (
     GroupedGraphView,
     aei,
@@ -192,8 +192,7 @@ def test_c5_oracle_equivalence():
         edges = [(u, v, c) for (u, v), c in g.multiplicity.items()]
         present = sorted(view.sizes)
         x, y = present[0], present[1]
-        pair_view = view.restrict([x, y])
-        mine = aei(pair_view, x, y)
+        mine = aei(view, x, y)
         ref = aei_direct(edges, {n: b for n, b in groups.items() if b in (x, y)}, x, y)
         if (mine is None) != (ref is None) or (
             mine is not None and abs(mine - ref) > 1e-12
@@ -278,7 +277,7 @@ def test_c7_hypergraph_correctness():
             values[i][i] = 1.0
             for j in range(i + 1, n):
                 values[i][j] = values[j][i] = rng.random() * 0.5
-        m = OverlapMatrix(topics=topics, values=values)
+        m = TopicMatrix(topics=topics, values=values)
         hg = topic_hypergraph(m, threshold=0.2)
         for edge in hg.hyperedges:
             for a in range(len(edge)):
@@ -313,7 +312,7 @@ def test_c7_hypergraph_correctness():
             for b in range(a + 1, len(bundle)):
                 i, j = idx[bundle[a]], idx[bundle[b]]
                 values[i][j] = values[j][i] = 0.35
-    fixture = topic_hypergraph(OverlapMatrix(topics=topics, values=values), 0.2)
+    fixture = topic_hypergraph(TopicMatrix(topics=topics, values=values), 0.2)
     if sorted(fixture.hyperedges) != sorted(bundles):
         failures.append(f"fixture bundles: {fixture.hyperedges}")
     criterion(7, not failures,

@@ -222,6 +222,14 @@ class TestRunAndReport:
         assert (run_dir / "manifests" / "metrics.json").exists()
         assert capsys.readouterr().out.splitlines()[0].startswith("topic,")
 
+    def test_metrics_report_unknown_topic_exit_code(self, workspace, tmp_path, capsys):
+        _, config_path, _, _ = workspace
+        root = tmp_path / "runs"
+        assert main(["metrics", "report", "--config", str(config_path), "--out", str(root),
+                     "--topic", "nope"]) == 2
+        assert "'nope'" in capsys.readouterr().err
+        assert not root.exists()
+
     def test_crosstopic_commands(self, workspace, capsys):
         _, config_path, _, _ = workspace
         for what in ("overlap", "hypergraph", "alignment", "joint"):

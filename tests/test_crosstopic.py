@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarnet.crosstopic import (
-    OverlapMatrix,
+    TopicMatrix,
     alignment_matrix,
     jaccard_matrix,
     joint_stance_table,
@@ -37,7 +37,7 @@ def overlap_from_pairs(topics, pairs, default=0.05):
     for (x, y), v in pairs.items():
         values[idx[x]][idx[y]] = v
         values[idx[y]][idx[x]] = v
-    return OverlapMatrix(topics=list(topics), values=values)
+    return TopicMatrix(topics=list(topics), values=values)
 
 
 class TestJaccard:
@@ -243,7 +243,7 @@ class TestNmiAlignment:
             "b": {f"u{i}": i % 2 for i in range(50)},
             "c": {f"u{i}": (i // 25) for i in range(50)},
         }
-        m = alignment_matrix(groupings, source="content")
+        m = alignment_matrix(groupings)
         assert m.topics == ["a", "b", "c"]
         assert m.get("a", "b") == pytest.approx(1.0)
         assert m.get("a", "c") == pytest.approx(m.get("c", "a"), abs=1e-12)
@@ -296,5 +296,5 @@ class TestJointStanceTable:
         for i in range(140, 165):  # neutral on rus-ukr, pro palestine
             sx[f"u{i}"] = "neutral"
             sy[f"u{i}"] = "for"
-        table = joint_stance_table(sx, sy, "russia_ukraine", "israel_palestine")
+        table = joint_stance_table(sx, sy)
         assert cell(table, "for", "neutral") > 2 * cell(table, "neutral", "for")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from polarnet.graphs import TopicNetwork
 from polarnet.groups import (
     Partition,
-    StanceGrouping,
     _SearchState,
     _undirected_adjacency,
     content_groups,
@@ -430,19 +429,20 @@ class TestContentGroups:
     def test_full_coverage(self):
         g = net([("a", "b"), ("b", "c")])
         grouping = content_groups({"a": "for", "b": "neutral", "c": "against"}, g)
-        assert grouping.coverage == 1.0
-        assert grouping.unlabeled == set()
+        assert grouping == {"a": "for", "b": "neutral", "c": "against"}
 
     def test_unlabeled_tracked_separately(self):
         g = net([("a", "b"), ("b", "c")])
         grouping = content_groups({"a": "for", "b": "against"}, g)
-        assert grouping.coverage == pytest.approx(2 / 3)
-        assert grouping.unlabeled == {"c"}
+        assert grouping == {"a": "for", "b": "against"}
+        partition = Partition({"a": 0, "b": 0, "c": 0}, 1, 0.0)
+        assert group_composition(partition, grouping).blocks[0].histogram == {
+            "for": 1, "against": 1, "unlabeled": 1}
 
     def test_labels_outside_network_ignored(self):
         g = net([("a", "b")])
         grouping = content_groups({"a": "for", "z": "against"}, g)
-        assert set(grouping.assignment) == {"a"}
+        assert grouping == {"a": "for"}
 
 
 class TestGroupComposition:
@@ -458,9 +458,7 @@ class TestGroupComposition:
                 node += 1
                 assignment[name] = b
                 stances[name] = "for" if i < n_for else ("neutral" if i % 2 else "against")
-        p = Partition(assignment, len(sizes), 0.0)
-        s = StanceGrouping("t", stances, 1.0, set())
-        return p, s
+        return Partition(assignment, len(sizes), 0.0), stances
 
     def test_single_uniform_block(self):
         p, s = self.make([10], [1.0])
@@ -478,21 +476,17 @@ class TestGroupComposition:
     def test_even_thirds(self):
         assignment = {f"n{i}": 0 for i in range(3)}
         stances = {"n0": "for", "n1": "neutral", "n2": "against"}
-        comp = group_composition(
-            Partition(assignment, 1, 0.0), StanceGrouping("t", stances, 1.0, set())
-        )
+        comp = group_composition(Partition(assignment, 1, 0.0), stances)
         assert comp.blocks[0].dominant_fraction == pytest.approx(1 / 3)
 
     def test_unlabeled_excluded_from_denominator(self):
         assignment = {f"n{i}": 0 for i in range(4)}
         stances = {"n0": "for", "n1": "for"}
-        s = StanceGrouping("t", stances, 0.5, {"n2", "n3"})
-        comp = group_composition(Partition(assignment, 1, 0.0), s)
+        comp = group_composition(Partition(assignment, 1, 0.0), stances)
         assert comp.blocks[0].histogram == {"for": 2, "unlabeled": 2}
         assert comp.blocks[0].dominant_fraction == 1.0
 
     def test_mismatched_node_sets_rejected(self):
         p = Partition({"a": 0}, 1, 0.0)
-        s = StanceGrouping("t", {"b": "for"}, 1.0, set())
         with pytest.raises(ValueError):
-            group_composition(p, s)
+            group_composition(p, {"b": "for"})

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from polarnet.annotate import DEFAULT_TOPICS
 from polarnet.graphs import TopicNetwork
-from polarnet.groups import Partition, StanceGrouping, content_groups
+from polarnet.groups import Partition, content_groups
 from polarnet.metrics import (
     GroupedGraphView,
     aei,
@@ -88,6 +88,11 @@ class TestAEI:
         with pytest.raises(ValueError):
             aei(GroupedGraphView(g, {"a": "X", "b": "X"}), "X", "Y")
 
+    def test_same_group_twice_rejected(self):
+        g = net({("a", "b"): 1, ("b", "a"): 1, ("a", "c"): 1})
+        with pytest.raises(ValueError):
+            aei(GroupedGraphView(g, {"a": "X", "b": "X", "c": "Y"}), "X", "X")
+
     def test_equal_density_wiring_scores_near_zero(self):
         # every ordered pair wired at the same probability regardless of
         # group, so within and between densities agree in expectation
@@ -141,7 +146,6 @@ class TestPairwiseAEI:
         view = GroupedGraphView(g, groups)
         pw = pairwise_aei(view)
         single = aei(view)
-        assert pw.values[("X", "Y")] == pytest.approx(single)
         assert pw.mean == pw.max == pw.min == pytest.approx(single)
 
     def test_disconnected_and_merged_triples(self):
@@ -153,14 +157,16 @@ class TestPairwiseAEI:
         edges.update({(u, v): 1 for u in s for v in t})
         edges.update({(v, u): 1 for u in s for v in t})
         groups = {**{u: "r" for u in r}, **{u: "s" for u in s}, **{u: "t" for u in t}}
-        pw = pairwise_aei(GroupedGraphView(net(edges, nodes=r + s + t), groups))
-        assert pw.get("r", "s") == pytest.approx(1.0)
-        assert abs(pw.get("s", "t")) < 0.01
+        view = GroupedGraphView(net(edges, nodes=r + s + t), groups)
+        assert aei(view, "r", "s") == pytest.approx(1.0)
+        assert abs(aei(view, "s", "t")) < 0.01
+        pw = pairwise_aei(view)
+        assert pw.max == pytest.approx(1.0)
+        assert abs(pw.min) < 0.01
 
     def test_single_group_empty_matrix(self):
         g = net({("a", "b"): 1})
         pw = pairwise_aei(GroupedGraphView(g, {"a": 0, "b": 0}))
-        assert pw.values == {}
         assert pw.mean is None and pw.max is None and pw.min is None
 
     def test_five_block_summary_values(self):
@@ -181,6 +187,37 @@ class TestPairwiseAEI:
         assert round(pw.mean, 2) == 0.84
         assert round(pw.max, 2) == 0.97
         assert round(pw.min, 2) == 0.65
+
+
+    def test_every_pair_and_mixing_table_match_direct_oracles(self):
+        # some nodes unlabeled and one label outside the network, so the
+        # table must skip both; 3-5 groups, so several pairs share the view
+        for seed in range(20):
+            rng = random.Random(seed)
+            g, groups = random_multigraph(30, 300, 3 + seed % 3, seed=seed)
+            labeled = {n: b for n, b in groups.items() if rng.random() < 0.8}
+            view = GroupedGraphView(g, {**labeled, "outsider": 0})
+            edges = [(u, v, c) for (u, v), c in g.multiplicity.items()]
+            mix = Counter()
+            for u, v, c in edges:
+                if u in labeled and v in labeled:
+                    mix[(labeled[u], labeled[v])] += c
+            assert dict(view.mix) == dict(mix)
+            present = sorted(set(labeled.values()))
+            refs = []
+            for i, r in enumerate(present):
+                for s in present[i + 1:]:
+                    ref = aei_direct(edges, labeled, r, s)
+                    mine = aei(view, r, s)
+                    if ref is None:
+                        assert mine is None
+                    else:
+                        assert mine == pytest.approx(ref, abs=1e-12)
+                        refs.append(ref)
+            pw = pairwise_aei(view)
+            assert pw.mean == pytest.approx(sum(refs) / len(refs), abs=1e-12)
+            assert pw.max == pytest.approx(max(refs), abs=1e-12)
+            assert pw.min == pytest.approx(min(refs), abs=1e-12)
 
 
 class TestAssortativity:
@@ -333,10 +370,16 @@ class TestReports:
         total = report.fraction_a + report.fraction_neutral + report.fraction_b
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_coverage_is_labeled_share_of_nodes(self):
+        g, grouping = self.make_grouping(40, 35, 25)
+        del grouping["u000"], grouping["u050"]
+        report = stance_metric_report(g, grouping, TOPIC_BY_ID["dei_programs"])
+        assert report.coverage == 98 / 100
+
     def test_structural_report_single_block_dashes(self):
         g = net({("a", "b"): 1, ("b", "c"): 1})
         partition = Partition({"a": 0, "b": 0, "c": 0}, 1, 12.0)
-        grouping = StanceGrouping("t", {"a": "for", "b": "for", "c": "neutral"}, 1.0, set())
+        grouping = {"a": "for", "b": "for", "c": "neutral"}
         report = structural_metric_report(g, partition, grouping)
         assert report.n_groups == 1
         assert report.mean_aei is None and report.max_aei is None and report.min_aei is None
@@ -347,8 +390,7 @@ class TestReports:
         partition = Partition({**{u: 0 for u in xs}, **{u: 1 for u in ys}}, 2, 1.0)
         stances = {u: "for" for u in xs}
         stances.update({u: "against" for u in ys})
-        grouping = StanceGrouping("t", stances, 1.0, set())
-        report = structural_metric_report(g, partition, grouping)
+        report = structural_metric_report(g, partition, stances)
         assert report.mean_aei == pytest.approx(1.0)
         assert report.max_ds == pytest.approx(1.0)  # block 0 is all "for"
         assert report.min_ds == pytest.approx(0.0)  # block 1 has no "for"
@@ -356,10 +398,7 @@ class TestReports:
 
 class TestStanceFractions:
     def test_counts_labeled_only(self):
-        grouping = StanceGrouping(
-            "t", {"a": "for", "b": "for", "c": "against"}, 0.75, {"d"}
-        )
-        fractions = stance_fractions(grouping)
+        fractions = stance_fractions({"a": "for", "b": "for", "c": "against"})
         assert fractions == {
             "for": pytest.approx(2 / 3),
             "neutral": 0.0,

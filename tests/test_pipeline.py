@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import socket
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -181,6 +182,23 @@ class TestFullRun:
         assert before == after
 
 
+# Runs the config (JSON, argv[1]) in the run root argv[2], then prints the
+# unrounded NMI of every pair of its topics' content groupings, which the
+# alignment CSVs round to 6 decimals.
+HASH_SEED_RUN = """
+import json, sys
+from pathlib import Path
+from polarnet.config import config_from_dict
+from polarnet.crosstopic import nmi_alignment
+from polarnet.pipeline import read_assignment, run_dir_for, run_pipeline
+config, root = config_from_dict(json.loads(sys.argv[1])), Path(sys.argv[2])
+run_pipeline(config, run_root=root)
+paths = sorted(run_dir_for(config, root).glob("groups/*/content.tsv"))
+content = [read_assignment(p) for p in paths]
+print([repr(nmi_alignment(x, y)) for i, x in enumerate(content) for y in content[i + 1:]])
+"""
+
+
 class TestDeterminism:
     def test_two_runs_byte_identical(self, event_fixture, tmp_path):
         event_path, _ = event_fixture
@@ -194,6 +212,30 @@ class TestDeterminism:
         assert files_a == files_b
         for rel in files_a:
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes(), rel
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, completed_run, tmp_path):
+        # include_neutral scores three stance groups, so a sum over a set of
+        # them would run in string-hash order; each run re-runs metrics,
+        # crosstopic and report over a copy of the completed run's stages
+        base = completed_run[0]
+        raw = config_to_dict(base)
+        raw["metrics"] = dict(raw["metrics"], include_neutral=True)
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        seen = set()
+        for seed in ("1", "2", "3", "4"):
+            root = in_root_of(base, tmp_path / seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", HASH_SEED_RUN, json.dumps(raw), str(root)],
+                env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            run_dir = run_dir_for(config_from_dict(raw), root)
+            seen.add((proc.stdout, tuple((str(rel), (run_dir / rel).read_bytes())
+                                         for rel in walk_files(run_dir))))
+        assert len(seen) == 1
 
     def test_different_seed_changes_hash(self, event_fixture, tmp_path):
         event_path, _ = event_fixture
