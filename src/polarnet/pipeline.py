@@ -22,6 +22,12 @@ since. Each manifest is loaded, and its outputs and inputs verified,
 once per ``run_pipeline`` call. ``run_pipeline`` is the only way a stage
 runs: every ``polarnet`` command that produces a stage output goes
 through it.
+
+A dump is hashed again only when its stat signature differs from the one
+ingest's manifest recorded with its hash (``_dump_hashes``), so a cached
+rerun reads the dumps' metadata, not their bytes. As in git's racy-clean
+rule, a dump modified too close to the moment it was hashed gets no
+signature and is hashed on every run.
 """
 
 from __future__ import annotations
@@ -32,9 +38,10 @@ import hashlib
 import json
 import logging
 import os
+import stat
 import time
 from contextlib import closing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import timedelta
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -105,6 +112,9 @@ class StageManifest:
     outputs: dict[str, str]
     wall_time_s: float
     cached: bool = False
+    # ingest's only: each dump's stat signature from just before its hash
+    # was taken (``_dump_hashes``); no key or comparison reads it
+    signatures: dict[str, list[int]] = field(default_factory=dict)
 
 
 def file_hash(path: Path) -> str:
@@ -135,10 +145,51 @@ def input_files(patterns: list[str]) -> list[Path]:
             files.append(Path(pattern))
     if not files:
         raise StageError("ingest", f"no input files match {patterns}")
-    for path in files:
-        if not path.is_file():
-            raise StageError("ingest", f"input {path} is not a regular file")
     return files
+
+
+# A dump whose mtime or ctime is this close to the clock when it is stat'ed
+# may still change within the same timestamp tick (1 s on ext3 and HFS+, 2 s
+# on FAT) and keep its signature, so its signature is not recorded.
+RACY_NS = 2_000_000_000
+_now_ns = time.time_ns  # the clock the racy rule reads
+
+
+def _signature(st: os.stat_result) -> list[int]:
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _dump_hashes(
+    paths: list[Path], recorded: Optional[StageManifest]
+) -> tuple[dict[str, str], dict[str, list[int]]]:
+    """Each dump's content hash, and the stat signatures to record with them.
+
+    ``recorded`` is ingest's manifest in this run directory, or None. A dump
+    keeps the hash it records while one ``os.stat`` still gives exactly the
+    signature recorded with that hash; any other dump is hashed. A signature
+    is recorded only for a dump whose later of mtime and ctime is more than
+    ``RACY_NS`` before the clock read ahead of the stat, so any later edit
+    moves its ctime, which no user can set back.
+    """
+    racy_after = _now_ns() - RACY_NS
+    hashes: dict[str, str] = {}
+    signatures: dict[str, list[int]] = {}
+    for path in paths:
+        try:
+            st = path.stat()
+        except OSError as exc:
+            raise StageError("ingest", f"input {path} cannot be read: {exc.strerror}") from exc
+        if not stat.S_ISREG(st.st_mode):
+            raise StageError("ingest", f"input {path} is not a regular file")
+        name, signature = str(path), _signature(st)
+        if (recorded is not None and name in recorded.inputs
+                and recorded.signatures.get(name) == signature):
+            hashes[name] = recorded.inputs[name]
+        else:
+            hashes[name] = file_hash(path)
+        if max(st.st_mtime_ns, st.st_ctime_ns) < racy_after:
+            signatures[name] = signature
+    return hashes, signatures
 
 
 def read_events(paths: list[Path], window=None, downtime=None):
@@ -215,7 +266,7 @@ def annotate_topic_stances(spec, by_uri: dict, reposts: list, topic_map: dict, p
     """Label one topic's participants into a fresh ``stances_<id>.jsonl``.
 
     Participants authored or reposted a post labeled with the topic.
-    Returns the store path.
+    Returns the store path and the ``AnnotationOutcome``.
     """
     corpora: dict[str, list] = {}
     for uri, label in topic_map.items():
@@ -225,11 +276,11 @@ def annotate_topic_stances(spec, by_uri: dict, reposts: list, topic_map: dict, p
         if topic_map.get(r.subject_uri) == spec.id and r.subject_uri in by_uri:
             corpora.setdefault(r.reposter, []).append(by_uri[r.subject_uri])
     path = labels_dir / f"stances_{spec.id}.jsonl"
-    annotate_stances(
+    outcome = annotate_stances(
         corpora, spec, provider, stance_store(path),
         k=k, seed=stage_seed(master_seed, f"annotate.stances.{spec.id}"),
     )
-    return path
+    return path, outcome
 
 
 def load_stances(path: Path) -> dict:
@@ -334,12 +385,13 @@ def write_content_groups(g, stances: dict, out_dir: Path) -> list[Path]:
 
 
 # --- stage implementations -------------------------------------------------
-# Each takes the config, the run directory and its verified inputs (only
-# report reads them) and returns the paths it wrote; the runner does the rest.
+# Each takes the config, the run directory and its verified inputs (ingest
+# reads the dump paths, report the hashes) and returns the paths it wrote;
+# the runner does the rest.
 
 
 def stage_ingest(config: PipelineConfig, run_dir: Path, inputs: dict):
-    dumps = input_files(config.inputs)
+    dumps = [Path(p) for p in inputs]  # the dumps the key hashed, in glob order
     stats, parse_errors, posts, reposts = read_events(dumps, config.window, config.downtime)
     corpus_dir = run_dir / "corpus"
     stats_path = run_dir / "stats" / "activity_stats.json"
@@ -373,15 +425,23 @@ def stage_annotate(config: PipelineConfig, run_dir: Path, inputs: dict):
     labels_dir = run_dir / "labels"
     themes = theme_store(labels_dir / "themes.jsonl")
     topics = topic_store(labels_dir / "topics.jsonl", config.topics)
-    annotate_themes(posts, provider, themes)
-    annotate_topics(posts, themes.mapping(), provider, topics, config.topics)
+    skipped = {"theme": annotate_themes(posts, provider, themes).skipped}
+    skipped["topic"] = annotate_topics(posts, themes.mapping(), provider, topics,
+                                       config.topics).skipped
     topic_map = topics.mapping()
 
     by_uri = {p.uri: p for p in posts}
     outputs = [themes.path, topics.path]
+    skipped["stance"] = []
     for spec in config.topics:
-        outputs.append(annotate_topic_stances(spec, by_uri, reposts, topic_map, provider,
-                                              labels_dir, config.stance_sample_k, config.seed))
+        path, outcome = annotate_topic_stances(spec, by_uri, reposts, topic_map, provider,
+                                               labels_dir, config.stance_sample_k, config.seed)
+        outputs.append(path)
+        skipped["stance"] += outcome.skipped
+    for kind, items in skipped.items():
+        if items:
+            log.warning("stage annotate: skipped %d %s item(s); first %s: %s",
+                        len(items), kind, *items[0])
     return outputs
 
 
@@ -597,9 +657,29 @@ def _load_manifest(run_dir: Path, stage: str) -> Optional[StageManifest]:
     path = _manifest_path(run_dir, stage)
     if not path.exists():
         return None
-    data = json.loads(path.read_text(encoding="utf-8"))
-    data.pop("config_hash", None)  # written before stage keys: a key of None never hits
-    return StageManifest(**{"key": None, **data})
+    try:
+        data = {"key": None, **json.loads(path.read_text(encoding="utf-8"))}
+        data.pop("config_hash", None)  # written before stage keys: a key of None never hits
+        return StageManifest(**data)
+    except (ValueError, TypeError) as exc:
+        raise StageError(stage, f"manifest {path} cannot be read ({type(exc).__name__}: "
+                                f"{exc}); remove it to run stage '{stage}' again") from exc
+
+
+def _write_manifest(run_dir: Path, manifest: StageManifest) -> None:
+    """Write under a temporary name, then rename into place, so that a run
+    stopped part-way leaves the old manifest or the new one, never a part."""
+    path = _manifest_path(run_dir, manifest.stage)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    write_json(partial, asdict(manifest))
+    os.replace(partial, path)
+
+
+def _refresh_signatures(run_dir: Path, manifest: StageManifest, signatures: dict) -> None:
+    """Record the dumps' current signatures in a manifest whose inputs verified."""
+    if manifest.signatures != signatures:
+        manifest.signatures = signatures
+        _write_manifest(run_dir, manifest)
 
 
 def _stale_outputs(manifest: StageManifest, run_dir: Path) -> tuple[list[str], list[str]]:
@@ -622,24 +702,34 @@ def _upstream(stage: str) -> set[str]:
     return {s for p in _STAGE_READS[stage].paths for s in (p, *_upstream(p))}
 
 
-def _declared_inputs(stage: str, config: PipelineConfig, verified: dict) -> dict[str, str]:
-    """Ingest's inputs are every file the config's input globs match now; any
-    other stage's are the verified outputs of its producers that it declares."""
+def _declared_inputs(
+    stage: str, config: PipelineConfig, verified: dict, manifest: Optional[StageManifest]
+) -> tuple[dict[str, str], dict[str, list[int]]]:
+    """A stage's inputs and the dump signatures to record with them.
+
+    Ingest's inputs are every file the config's input globs match now,
+    hashed unless ``manifest``, the stage's manifest in this run directory,
+    vouches for them (``_dump_hashes``); any other stage's are the verified
+    outputs of its producers that it declares, and it records no signatures.
+    """
     if stage == "ingest":
-        return {str(p): file_hash(p) for p in input_files(config.inputs)}
+        return _dump_hashes(input_files(config.inputs), manifest)
     inputs = {}
     for producer, patterns in _STAGE_READS[stage].paths.items():
         outputs = verified[producer] or {}
         for pattern in patterns:
             pattern = pattern(config) if callable(pattern) else pattern
             inputs.update((rel, outputs[rel]) for rel in fnmatch.filter(outputs, pattern))
-    return inputs
+    return inputs, {}
 
 
-def _inputs(stage: str, config: PipelineConfig, run_dir: Path,
-            verified: dict) -> dict[str, str]:
-    """The inputs ``stage`` declares (``_STAGE_READS``), once every stage it
-    reads, directly or through another, is verified.
+def _inputs(
+    stage: str, config: PipelineConfig, run_dir: Path, verified: dict,
+    own: Optional[StageManifest],
+) -> tuple[dict[str, str], dict[str, list[int]]]:
+    """The inputs ``stage`` declares (``_STAGE_READS``) and their signatures
+    (``_declared_inputs``, given ``own``, the stage's manifest), once every
+    stage it reads, directly or through another, is verified.
 
     ``verified`` maps each stage seen in this call to its verified output
     hashes (None without a manifest); a stage not seen yet is loaded and
@@ -658,9 +748,11 @@ def _inputs(stage: str, config: PipelineConfig, run_dir: Path,
                 raise StageError(stage, f"{missing[0]!r} of stage '{prior}' is missing; "
                                         f"run stage '{prior}' again")
             changed += diff
-            if manifest.inputs != _declared_inputs(prior, config, verified):
+            inputs, signatures = _declared_inputs(prior, config, verified, manifest)
+            if manifest.inputs != inputs:
                 raise StageError(stage, f"stage '{prior}' ran on inputs that have changed "
                                         f"since; run stage '{prior}' again")
+            _refresh_signatures(run_dir, manifest, signatures)
         verified[prior] = None if manifest is None else manifest.outputs
     reads = _STAGE_READS[stage]
     for need in reads.paths:
@@ -668,7 +760,7 @@ def _inputs(stage: str, config: PipelineConfig, run_dir: Path,
             raise StageError(stage, f"stage '{need}' has no manifest; run stage '{need}' first")
     if changed:
         raise HashMismatchError(stage, changed)
-    return _declared_inputs(stage, config, verified)
+    return _declared_inputs(stage, config, verified, own)
 
 
 def config_json(config: PipelineConfig) -> dict[str, str]:
@@ -692,7 +784,7 @@ def _inside(root: Path, resolved_root: Path, rel: str) -> bool:
     return (root / rel).resolve().is_relative_to(resolved_root)
 
 
-def _reuse(stage: str, key: str, run_dir: Path) -> Optional[StageManifest]:
+def _reuse(stage: str, key: str, run_dir: Path, signatures: dict) -> Optional[StageManifest]:
     """Hard-link a stage's outputs from a sibling run directory instead of
     running it.
 
@@ -707,7 +799,8 @@ def _reuse(stage: str, key: str, run_dir: Path) -> Optional[StageManifest]:
     every writer replaces its file (``files.open_new``) instead of
     truncating it, so a later run in one directory never rewrites another's
     bytes. An edit made in place outside polarnet shows in every directory
-    that shares the file; each directory's next run finds it by hash.
+    that shares the file; each directory's next run finds it by hash. The
+    manifest written records ``signatures``, this run's, not the sibling's.
     """
     resolved_run_dir = run_dir.resolve()
     for sibling in sorted(run_dir.parent.iterdir()):
@@ -715,7 +808,7 @@ def _reuse(stage: str, key: str, run_dir: Path) -> Optional[StageManifest]:
             continue
         try:
             manifest = _load_manifest(sibling, stage)
-        except (OSError, ValueError, TypeError):
+        except (OSError, StageError):
             continue  # not a run directory this version can read
         if manifest is None or manifest.key != key:
             continue
@@ -742,7 +835,8 @@ def _reuse(stage: str, key: str, run_dir: Path) -> Optional[StageManifest]:
             for path in linked:
                 path.unlink()
             continue
-        write_json(_manifest_path(run_dir, stage), asdict(manifest))
+        manifest.signatures = signatures
+        _write_manifest(run_dir, manifest)
         log.info("stage %s: reused from %s", stage, sibling.name)
         manifest.cached = True
         return manifest
@@ -760,7 +854,7 @@ def _remove_outputs(manifest: StageManifest, run_dir: Path) -> None:
 
 
 def _run_stage(stage: str, config: PipelineConfig, run_dir: Path, key: str,
-               inputs: dict[str, str]) -> StageManifest:
+               inputs: dict[str, str], signatures: dict) -> StageManifest:
     started = time.perf_counter()
     try:
         outputs = _STAGE_FNS[stage](config, run_dir, inputs)
@@ -777,8 +871,9 @@ def _run_stage(stage: str, config: PipelineConfig, run_dir: Path, key: str,
         inputs=inputs,
         outputs=hashes,
         wall_time_s=round(time.perf_counter() - started, 6),
+        signatures=signatures,
     )
-    write_json(_manifest_path(run_dir, stage), asdict(manifest))
+    _write_manifest(run_dir, manifest)
     log.info("stage %s: done in %.2fs", stage, manifest.wall_time_s)
     return manifest
 
@@ -823,21 +918,22 @@ def run_pipeline(
     verified: dict[str, Optional[dict[str, str]]] = {}
     manifests = []
     for stage in selected:
-        inputs = _inputs(stage, config, run_dir, verified)
-        key = stage_key(stage, fields, inputs)
         manifest = _load_manifest(run_dir, stage)
+        inputs, signatures = _inputs(stage, config, run_dir, verified, manifest)
+        key = stage_key(stage, fields, inputs)
         if (
             manifest is not None
             and manifest.key == key
             and not any(_stale_outputs(manifest, run_dir))
         ):
+            _refresh_signatures(run_dir, manifest, signatures)
             manifest.cached = True
             log.info("stage %s: cached", stage)
         else:
             if manifest is not None:
                 _remove_outputs(manifest, run_dir)
-            manifest = (_reuse(stage, key, run_dir)
-                        or _run_stage(stage, config, run_dir, key, inputs))
+            manifest = (_reuse(stage, key, run_dir, signatures)
+                        or _run_stage(stage, config, run_dir, key, inputs, signatures))
         verified[stage] = manifest.outputs
         manifests.append(manifest)
     return manifests

@@ -282,6 +282,21 @@ class TestRunAndReport:
         err = capsys.readouterr().err
         assert "graph" in err
 
+    def test_truncated_manifest_exit_code(self, workspace, tmp_path, capsys):
+        _, _, _, raw = workspace
+        fresh = dict(raw, out_dir=str(tmp_path / "runs"))
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(fresh))
+        assert main(["run", "--config", str(config_path),
+                     "--stages", "ingest,annotate,graph"]) == 0
+        manifest = run_dir_for(config_from_dict(fresh)) / "manifests" / "graph.json"
+        manifest.write_bytes(manifest.read_bytes()[:40])
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'graph': ") and err.count("\n") == 1
+        assert str(manifest) in err
+
     @pytest.mark.parametrize("change, code", [
         (lambda dumps: {"inputs": str(dumps / "*.jsonl")}, 2),
         (lambda dumps: {"inputs": [str(dumps)]}, 3),

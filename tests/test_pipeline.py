@@ -8,6 +8,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +31,41 @@ from polarnet.errors import ConfigError, HashMismatchError, StageError
 from polarnet import pipeline
 from polarnet.pipeline import run_dir_for, run_pipeline
 from polarnet.report import write_json
+
+OLD_NS = 1_000_000_000_000_000_000  # 2001, far from now whatever the clock's grain
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """How often ``pipeline.file_hash`` was called on each path."""
+    calls = Counter()
+    real = pipeline.file_hash
+
+    def counting(path):
+        calls[str(path)] += 1
+        return real(path)
+
+    monkeypatch.setattr(pipeline, "file_hash", counting)
+    return calls
+
+
+@pytest.fixture
+def aged_dump(event_fixture, tmp_path, monkeypatch):
+    """A copy of the fixture dump with its mtime set back to 2001, and a
+    pipeline clock ahead by five racy windows, so that the copy's ctime (the
+    copy's own, which nothing can set back) is outside the racy window."""
+    event_path, _ = event_fixture
+    dump = tmp_path / "dumps" / "events.jsonl"
+    dump.parent.mkdir()
+    shutil.copyfile(event_path, dump)
+    os.utime(dump, ns=(OLD_NS, OLD_NS))
+    monkeypatch.setattr(pipeline, "_now_ns", lambda: time.time_ns() + 5 * pipeline.RACY_NS)
+    return dump
+
+
+def recorded_signatures(config) -> dict:
+    manifest = run_dir_for(config) / "manifests" / "ingest.json"
+    return json.loads(manifest.read_text())["signatures"]
 
 
 def walk_files(root: Path, skip=("manifests",)):
@@ -431,23 +467,31 @@ class TestCacheDecisions:
         assert [p.name for p in (run_dir / "report").glob("joint_*.csv")] == [
             "joint_russia_ukraine__trump_administration.csv"]
 
-    def test_each_file_hashed_once_per_call(self, event_fixture, tmp_path, monkeypatch):
-        calls = Counter()
-        real = pipeline.file_hash
-
-        def counting(path):
-            calls[str(path)] += 1
-            return real(path)
-
-        monkeypatch.setattr(pipeline, "file_hash", counting)
-        event_path, _ = event_fixture
-        config = fixture_config(event_path, tmp_path)
+    def test_each_file_hashed_once_per_call(self, aged_dump, tmp_path, hashed):
+        # the dump is hashed for the cold call's ingest key; the cached call
+        # takes its hash from ingest's manifest, by its stat signature
+        config = fixture_config(aged_dump, tmp_path / "runs")
         for cached in (False, True):
-            calls.clear()
+            hashed.clear()
             manifests = run_pipeline(config)
             assert all(m.cached == cached for m in manifests)
-            assert str(event_path) in calls
-            assert set(calls.values()) == {1}, calls.most_common(3)
+            assert (str(aged_dump) in hashed) != cached
+            assert set(hashed.values()) == {1}, hashed.most_common(3)
+
+    def test_ingest_parses_the_dumps_its_key_hashed(self, event_fixture, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        real = pipeline.input_files
+
+        def counting(patterns):
+            calls.append(patterns)
+            return real(patterns)
+
+        monkeypatch.setattr(pipeline, "input_files", counting)
+        event_path, _ = event_fixture
+        [manifest] = run_pipeline(fixture_config(event_path, tmp_path), stages=["ingest"])
+        assert not manifest.cached
+        assert calls == [[str(event_path)]]
 
     def test_config_stamp_written_only_when_its_content_changes(self, event_fixture, tmp_path):
         event_path, _ = event_fixture
@@ -478,6 +522,190 @@ class TestCacheDecisions:
         assert "corpus/filtered.jsonl" in str(exc.value)
 
 
+def overwrite_one_byte(dump: Path) -> None:
+    with dump.open("r+b") as fh:
+        fh.seek(10)
+        byte = fh.read(1)
+        fh.seek(10)
+        fh.write(bytes([byte[0] ^ 1]))  # ASCII stays ASCII
+
+
+class TestDumpSignatures:
+    """A dump is hashed again only when its stat signature moved, or when
+    it was last modified inside the racy window."""
+
+    def test_cached_runs_read_no_dump(self, aged_dump, tmp_path, hashed):
+        config = fixture_config(aged_dump, tmp_path / "runs")
+        run_pipeline(config)
+        st = aged_dump.stat()
+        assert recorded_signatures(config) == {str(aged_dump): [
+            st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]}
+        for stages in (None, ["report"], ["metrics", "crosstopic"]):
+            hashed.clear()
+            manifests = run_pipeline(config, stages=stages)
+            assert all(m.cached for m in manifests), stages
+            assert str(aged_dump) not in hashed, stages
+            assert hashed, stages  # run-directory outputs are still hashed
+
+    @pytest.mark.parametrize("edit", ["append", "same-size", "mtime-restored"])
+    def test_edited_dump_is_hashed_and_reruns_ingest(self, aged_dump, tmp_path, hashed, edit):
+        config = fixture_config(aged_dump, tmp_path / "runs")
+        run_pipeline(config, stages=["ingest"])
+        before = aged_dump.stat()
+        if edit == "append":
+            first = aged_dump.read_bytes().split(b"\n", 1)[0]
+            with aged_dump.open("ab") as fh:
+                fh.write(first + b"\n")
+        else:
+            overwrite_one_byte(aged_dump)
+        if edit == "mtime-restored":
+            os.utime(aged_dump, ns=(before.st_atime_ns, before.st_mtime_ns))
+            after = aged_dump.stat()
+            assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        hashed.clear()
+        [manifest] = run_pipeline(config, stages=["ingest"])
+        assert not manifest.cached
+        assert hashed[str(aged_dump)] == 1
+        assert manifest.inputs[str(aged_dump)] == pipeline.file_hash(aged_dump)
+
+    @pytest.mark.parametrize("age_windows, rehashed", [(0.5, True), (1.5, False)])
+    def test_edit_inside_the_racy_window(self, event_fixture, tmp_path, monkeypatch, hashed,
+                                         age_windows, rehashed):
+        # On a file system whose timestamps are coarser than the time between
+        # two writes, a second write can keep the dump's whole signature. It
+        # is modelled by a signature that keeps the timestamps the dump had
+        # when ingest hashed it. A dump hashed within the racy window of its
+        # last change got no signature, so the edit is found; one hashed
+        # later did, and the edit is the limit the README states.
+        event_path, _ = event_fixture
+        dump = tmp_path / "events.jsonl"
+        shutil.copyfile(event_path, dump)
+        hashed_at = dump.stat()
+        changed_ns = max(hashed_at.st_mtime_ns, hashed_at.st_ctime_ns)
+        monkeypatch.setattr(pipeline, "_now_ns",
+                            lambda: changed_ns + int(age_windows * pipeline.RACY_NS))
+        monkeypatch.setattr(pipeline, "_signature", lambda st: [
+            st.st_dev, st.st_ino, st.st_size, hashed_at.st_mtime_ns, hashed_at.st_ctime_ns])
+        config = fixture_config(dump, tmp_path / "runs")
+        run_pipeline(config, stages=["ingest"])
+        assert bool(recorded_signatures(config)) != rehashed
+        overwrite_one_byte(dump)
+        hashed.clear()
+        [manifest] = run_pipeline(config, stages=["ingest"])
+        assert manifest.cached != rehashed
+        assert (str(dump) in hashed) == rehashed
+
+    def test_same_content_swapped_in_is_hashed_and_stays_cached(self, aged_dump, tmp_path,
+                                                                 hashed):
+        config = fixture_config(aged_dump, tmp_path / "runs")
+        run_pipeline(config, stages=["ingest"])
+        copy = aged_dump.with_name("copy.tmp")
+        shutil.copyfile(aged_dump, copy)
+        os.utime(copy, ns=(OLD_NS, OLD_NS))
+        os.replace(copy, aged_dump)
+        for rehashed in (True, False):
+            hashed.clear()
+            [manifest] = run_pipeline(config, stages=["ingest"])
+            assert manifest.cached
+            assert (str(aged_dump) in hashed) == rehashed
+        assert recorded_signatures(config)[str(aged_dump)][1] == aged_dump.stat().st_ino
+
+    @pytest.mark.parametrize("dated", ["now", "future"])
+    def test_dump_changed_just_before_the_run_is_hashed_on_every_rerun(
+        self, event_fixture, tmp_path, hashed, dated
+    ):
+        # the real clock and racy window: the dump's ctime is now, and its
+        # 1000 lines keep the three runs well inside the window
+        event_path, _ = event_fixture
+        dump = tmp_path / "events.jsonl"
+        lines = event_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        dump.write_text("".join(lines[:1000]), encoding="utf-8")
+        if dated == "future":
+            future = time.time_ns() + 3600 * 10**9
+            os.utime(dump, ns=(future, future))
+        config = fixture_config(dump, tmp_path / "runs")
+        run_pipeline(config, stages=["ingest"])
+        for _ in range(2):
+            hashed.clear()
+            [manifest] = run_pipeline(config, stages=["ingest"])
+            assert manifest.cached
+            assert hashed[str(dump)] == 1
+        assert recorded_signatures(config) == {}
+
+    def test_manifest_without_signatures_stays_cached_and_gains_them(self, aged_dump,
+                                                                      tmp_path, hashed):
+        # an ingest manifest written before signatures were recorded
+        config = fixture_config(aged_dump, tmp_path / "runs")
+        run_pipeline(config, stages=["ingest"])
+        path = run_dir_for(config) / "manifests" / "ingest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["signatures"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        for rehashed in (True, False):
+            hashed.clear()
+            [m] = run_pipeline(config, stages=["ingest"])
+            assert m.cached
+            assert (str(aged_dump) in hashed) == rehashed
+        assert str(aged_dump) in recorded_signatures(config)
+
+    def test_verifying_ingest_records_its_signatures(self, event_fixture, tmp_path,
+                                                     monkeypatch, hashed):
+        # ingest ran while the dump was racy; a later stage's check of it
+        # records the signature, so the next check reads no dump
+        event_path, _ = event_fixture
+        dump = tmp_path / "events.jsonl"
+        shutil.copyfile(event_path, dump)
+        changed_ns = max(dump.stat().st_mtime_ns, dump.stat().st_ctime_ns)
+        monkeypatch.setattr(pipeline, "_now_ns", lambda: changed_ns + pipeline.RACY_NS // 2)
+        config = fixture_config(dump, tmp_path / "runs")
+        run_pipeline(config, stages=["ingest", "report"])
+        assert recorded_signatures(config) == {}
+        monkeypatch.setattr(pipeline, "_now_ns", lambda: changed_ns + 5 * pipeline.RACY_NS)
+        for rehashed in (True, False):
+            hashed.clear()
+            [m] = run_pipeline(config, stages=["report"])
+            assert m.cached
+            assert (str(dump) in hashed) == rehashed
+
+
+class TestManifestFiles:
+    def test_unreadable_manifest_names_its_stage_and_path(self, event_fixture, tmp_path):
+        event_path, _ = event_fixture
+        config = fixture_config(event_path, tmp_path)
+        run_pipeline(config, stages=["ingest"])
+        path = run_dir_for(config) / "manifests" / "ingest.json"
+        for text in (path.read_text()[:40], "[]"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(StageError) as exc:
+                run_pipeline(config, stages=["ingest"])
+            assert exc.value.stage == "ingest"
+            assert str(path) in exc.value.reason
+
+    def test_interrupted_manifest_write_keeps_the_old_manifest(self, event_fixture, tmp_path,
+                                                               monkeypatch):
+        event_path, _ = event_fixture
+        dump = tmp_path / "events.jsonl"
+        shutil.copyfile(event_path, dump)
+        config = fixture_config(dump, tmp_path / "runs")
+        run_pipeline(config, stages=["ingest"])
+        manifests = run_dir_for(config) / "manifests"
+        old = (manifests / "ingest.json").read_bytes()
+        real = pipeline.write_json
+
+        def interrupted(path, payload):
+            if path.parent != manifests:
+                return real(path, payload)
+            real(path, payload)
+            path.write_bytes(path.read_bytes()[:40])
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(pipeline, "write_json", interrupted)
+        overwrite_one_byte(dump)
+        with pytest.raises(OSError):
+            run_pipeline(config, stages=["ingest"])
+        assert (manifests / "ingest.json").read_bytes() == old
+
+
 class TestParseErrors:
     def test_malformed_lines_counted(self, event_fixture, tmp_path):
         event_path, _ = event_fixture
@@ -495,6 +723,25 @@ class TestParseErrors:
             stats_path = run_dir_for(config) / "stats" / "activity_stats.json"
             counts.append(json.loads(stats_path.read_text())["parse_errors"])
         assert counts == [0, len(malformed)]
+
+    def test_annotation_skips_logged(self, event_fixture, tmp_path, caplog):
+        from datetime import datetime, timezone
+
+        from polarnet.ingest import PostRecord
+
+        event_path, _ = event_fixture
+        config = fixture_config(event_path, tmp_path)
+        at = datetime(2025, 1, 5, tzinfo=timezone.utc)
+        posts = [PostRecord("at://a/1", "did:plc:a", "a post about ukraine", ("en",), at, 1),
+                 PostRecord("at://a/2", "did:plc:a", "", ("en",), at, 1)]
+        run_dir = tmp_path / "run"
+        pipeline.write_posts(run_dir / "corpus" / "filtered.jsonl", posts)
+        pipeline.write_reposts(run_dir / "corpus" / "reposts.jsonl", [])
+        with caplog.at_level(logging.WARNING, logger="polarnet"):
+            pipeline.stage_annotate(config, run_dir, {})
+        [warning] = caplog.messages
+        assert warning == ("stage annotate: skipped 1 theme item(s); first at://a/2: "
+                           "post at://a/2 has empty text")
 
 
 class TestConfig:
