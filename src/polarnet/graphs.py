@@ -11,7 +11,7 @@ import csv
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -53,8 +53,9 @@ class TopicNetwork:
 
     Parallel edges are kept: ``multiplicity`` maps ordered user pairs to
     their edge count and is the source of truth for all metrics. The
-    per-event list is retained when the graph was built from a stream so
-    exports keep timestamps.
+    per-event list is kept when the graph was built from events, so that
+    ``save_graph`` and ``export_csv`` write their timestamps; a graph read
+    back by ``load_graph`` has none.
     """
 
     topic: str
@@ -76,11 +77,10 @@ class TopicNetwork:
         interaction: str,
         window,
         events: Iterable[EdgeRecord],
-        extra_nodes: Iterable = (),
     ) -> "TopicNetwork":
         events = list(events)
         mult = Counter((e.source, e.target) for e in events)
-        nodes = {e.source for e in events} | {e.target for e in events} | set(extra_nodes)
+        nodes = {e.source for e in events} | {e.target for e in events}
         return cls(topic, interaction, window, nodes, mult, events)
 
 
@@ -199,10 +199,6 @@ def _epoch_us(ts: datetime) -> int:
     return int(ts.timestamp() * 1_000_000)
 
 
-def _from_epoch_us(us: int) -> datetime:
-    return datetime.fromtimestamp(us / 1_000_000, tz=timezone.utc)
-
-
 def save_graph(g: TopicNetwork, path: Union[str, Path], node_index: Mapping) -> None:
     """Write ``g.events``, one record per edge; every pipeline graph is built from events."""
     with open_new(path, "xb") as fh:
@@ -221,6 +217,11 @@ def load_graph(
     interaction: str,
     window=None,
 ) -> TopicNetwork:
+    """Read a graph file's edge multiset over ``nodes``, its ``nodes.tsv`` ids.
+
+    Every stage that loads a graph reads only its multiplicities, so the
+    edges' timestamps are not decoded and the network has no ``events``.
+    """
     path = Path(path)
     data = path.read_bytes()
     if data[: len(_MAGIC)] != _MAGIC:
@@ -230,16 +231,16 @@ def load_graph(
     if count is None or len(data) != offset + 16 * count:
         raise ValueError(f"{path} is {len(data)} bytes, not the length its edge count "
                          f"gives; it is truncated or has trailing bytes")
-    events = []
+    records = struct.iter_unpack("<IIq", memoryview(data)[offset:])
     try:
-        for _ in range(count):
-            s, t, us = struct.unpack_from("<IIq", data, offset)
-            offset += 16
-            events.append(EdgeRecord(nodes[s], nodes[t], _from_epoch_us(us)))
+        multiplicity = Counter((nodes[s], nodes[t]) for s, t, _us in records)
     except IndexError:
-        raise ValueError(f"{path}: edge {len(events)} names node {max(s, t)}, but there "
+        records = struct.iter_unpack("<IIq", memoryview(data)[offset:])
+        edge, node = next((i, max(s, t)) for i, (s, t, _us) in enumerate(records)
+                          if max(s, t) >= len(nodes))
+        raise ValueError(f"{path}: edge {edge} names node {node}, but there "
                          f"are only {len(nodes)} nodes") from None
-    return TopicNetwork.from_events(topic, interaction, window, events, extra_nodes=nodes)
+    return TopicNetwork(topic, interaction, window, set(nodes), multiplicity)
 
 
 def export_csv(g: TopicNetwork, path: Union[str, Path]) -> None:

@@ -25,9 +25,11 @@ through it.
 
 A dump is hashed again only when its stat signature differs from the one
 ingest's manifest recorded with its hash (``_dump_hashes``), so a cached
-rerun reads the dumps' metadata, not their bytes. As in git's racy-clean
-rule, a dump modified too close to the moment it was hashed gets no
-signature and is hashed on every run.
+rerun reads the dumps' metadata, not their bytes. A new run directory takes
+a dump's hash from a sibling's ingest manifest that recorded exactly its
+current signature, so a metrics-only reanalysis does not hash the dumps
+either. As in git's racy-clean rule, a dump modified too close to the
+moment it was hashed gets no signature and is hashed on every run.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import __version__
 from .annotate import (
@@ -159,21 +161,36 @@ def _signature(st: os.stat_result) -> list[int]:
     return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
 
 
+def _signed_hash(manifests: list[StageManifest], signature: list[int]) -> Optional[str]:
+    """The hash that one of the ingest ``manifests`` records with exactly
+    ``signature``, or None."""
+    for manifest in manifests:
+        for name, recorded in manifest.signatures.items():
+            if recorded == signature and name in manifest.inputs:
+                return manifest.inputs[name]
+    return None
+
+
 def _dump_hashes(
-    paths: list[Path], recorded: Optional[StageManifest]
+    paths: list[Path], recorded: Optional[StageManifest], run_dir: Path
 ) -> tuple[dict[str, str], dict[str, list[int]]]:
     """Each dump's content hash, and the stat signatures to record with them.
 
-    ``recorded`` is ingest's manifest in this run directory, or None. A dump
-    keeps the hash it records while one ``os.stat`` still gives exactly the
-    signature recorded with that hash; any other dump is hashed. A signature
-    is recorded only for a dump whose later of mtime and ctime is more than
-    ``RACY_NS`` before the clock read ahead of the stat, so any later edit
-    moves its ctime, which no user can set back.
+    ``recorded`` is ingest's manifest in ``run_dir``, or None. A dump keeps
+    the hash it records while one ``os.stat`` still gives exactly the
+    signature recorded with that hash. A dump it does not vouch for takes
+    the hash a sibling run directory's ingest manifest records with exactly
+    that signature; the signature holds the device and inode, so both name
+    one file. The siblings' manifests are read only for such a dump. Any
+    other dump is hashed. A signature is recorded only for a dump whose
+    later of mtime and ctime is more than ``RACY_NS`` before the clock read
+    ahead of the stat, so any later edit moves its ctime, which no user can
+    set back.
     """
     racy_after = _now_ns() - RACY_NS
     hashes: dict[str, str] = {}
     signatures: dict[str, list[int]] = {}
+    siblings: Optional[list[StageManifest]] = None
     for path in paths:
         try:
             st = path.stat()
@@ -184,9 +201,12 @@ def _dump_hashes(
         name, signature = str(path), _signature(st)
         if (recorded is not None and name in recorded.inputs
                 and recorded.signatures.get(name) == signature):
-            hashes[name] = recorded.inputs[name]
+            digest = recorded.inputs[name]
         else:
-            hashes[name] = file_hash(path)
+            if siblings is None:
+                siblings = [m for _, m in _sibling_manifests(run_dir, "ingest")]
+            digest = _signed_hash(siblings, signature)
+        hashes[name] = digest or file_hash(path)
         if max(st.st_mtime_ns, st.st_ctime_ns) < racy_after:
             signatures[name] = signature
     return hashes, signatures
@@ -608,8 +628,9 @@ _STAGE_FNS: dict[str, Callable] = {
     "report": stage_report,
 }
 
-# What each stage reads: the top-level config fields (of ``semantic_fields``;
-# None is the whole config) and, by the earlier stage that writes them, the
+# What each stage reads: the config fields (top-level fields of
+# ``semantic_fields``, or one flag of a section as ``section.flag``; None is
+# the whole config) and, by the earlier stage that writes them, the
 # run-directory paths it opens, as ``fnmatch`` patterns (whose ``*`` matches
 # ``/`` too) or as a function of the config. A field read but not listed
 # would reuse a stale stage. Every stage in ``paths`` must have a manifest,
@@ -633,9 +654,11 @@ _STAGE_READS: dict[str, _StageReads] = {
                           "annotate": ("labels/topics.jsonl",)}),
     "groups": _StageReads(("detection", "seed", "window"),
                           {"annotate": ("labels/stances_*.jsonl",), "graph": _GRAPH_FILES}),
-    "metrics": _StageReads(("metrics", "topics", "window"),
+    "metrics": _StageReads(("metrics.include_neutral", "metrics.simpson_include_neutral",
+                            "topics", "window"),
                            {"graph": _GRAPH_FILES, "groups": _GROUP_FILES}),
-    "crosstopic": _StageReads(("metrics", "topics", "window"),
+    "crosstopic": _StageReads(("metrics.hypergraph_threshold", "metrics.hypergraph_inclusive",
+                               "metrics.nmi_normalization", "topics", "window"),
                               {"graph": _GRAPH_FILES, "groups": _GROUP_FILES}),
     # summary.json stamps the whole config's hash; report renders a partial
     # bundle, so only ingest must have run
@@ -647,6 +670,9 @@ _STAGE_READS: dict[str, _StageReads] = {
                                  "crosstopic": ("crosstopic/**",)},
                           optional=("annotate", "graph", "metrics", "crosstopic")),
 }
+
+# the section flags that a stage reads on its own
+_FLAGS = sorted({f for r in _STAGE_READS.values() for f in r.fields or () if "." in f})
 
 
 def _manifest_path(run_dir: Path, stage: str) -> Path:
@@ -703,17 +729,19 @@ def _upstream(stage: str) -> set[str]:
 
 
 def _declared_inputs(
-    stage: str, config: PipelineConfig, verified: dict, manifest: Optional[StageManifest]
+    stage: str, config: PipelineConfig, run_dir: Path, verified: dict,
+    manifest: Optional[StageManifest],
 ) -> tuple[dict[str, str], dict[str, list[int]]]:
     """A stage's inputs and the dump signatures to record with them.
 
     Ingest's inputs are every file the config's input globs match now,
-    hashed unless ``manifest``, the stage's manifest in this run directory,
-    vouches for them (``_dump_hashes``); any other stage's are the verified
-    outputs of its producers that it declares, and it records no signatures.
+    hashed unless ``manifest``, the stage's manifest in ``run_dir``, or a
+    sibling's vouches for them (``_dump_hashes``); any other stage's are the
+    verified outputs of its producers that it declares, and it records no
+    signatures.
     """
     if stage == "ingest":
-        return _dump_hashes(input_files(config.inputs), manifest)
+        return _dump_hashes(input_files(config.inputs), manifest, run_dir)
     inputs = {}
     for producer, patterns in _STAGE_READS[stage].paths.items():
         outputs = verified[producer] or {}
@@ -748,7 +776,7 @@ def _inputs(
                 raise StageError(stage, f"{missing[0]!r} of stage '{prior}' is missing; "
                                         f"run stage '{prior}' again")
             changed += diff
-            inputs, signatures = _declared_inputs(prior, config, verified, manifest)
+            inputs, signatures = _declared_inputs(prior, config, run_dir, verified, manifest)
             if manifest.inputs != inputs:
                 raise StageError(stage, f"stage '{prior}' ran on inputs that have changed "
                                         f"since; run stage '{prior}' again")
@@ -760,19 +788,26 @@ def _inputs(
             raise StageError(stage, f"stage '{need}' has no manifest; run stage '{need}' first")
     if changed:
         raise HashMismatchError(stage, changed)
-    return _declared_inputs(stage, config, verified, own)
+    return _declared_inputs(stage, config, run_dir, verified, own)
 
 
 def config_json(config: PipelineConfig) -> dict[str, str]:
-    """Each semantic config field as canonical JSON, for ``stage_key``."""
-    return {f: json.dumps(v, sort_keys=True) for f, v in semantic_fields(config).items()}
+    """Each semantic config field, and each flag a stage reads on its own
+    (``section.flag``), as canonical JSON, for ``stage_key``."""
+    values = semantic_fields(config)
+    fields = {f: json.dumps(v, sort_keys=True) for f, v in values.items()}
+    for flag in _FLAGS:
+        section, name = flag.split(".")
+        fields[flag] = json.dumps(values[section][name], sort_keys=True)
+    return fields
 
 
 def stage_key(stage: str, fields: dict[str, str], inputs: dict[str, str]) -> str:
     """What a stage's outputs are a function of: the config fields it reads
-    (from ``config_json``), the tool version and the hashes of its inputs."""
-    read = _STAGE_READS[stage].fields
-    parts = [stage, __version__] + [f"{f}={fields[f]}" for f in read or sorted(fields)]
+    (from ``config_json``; the whole config is its top-level fields), the
+    tool version and the hashes of its inputs."""
+    read = _STAGE_READS[stage].fields or sorted(f for f in fields if "." not in f)
+    parts = [stage, __version__] + [f"{f}={fields[f]}" for f in read]
     for rel, digest in sorted(inputs.items()):
         parts += (rel, digest)
     # joined by NUL, which no path, JSON text or digest contains; a cached
@@ -780,8 +815,38 @@ def stage_key(stage: str, fields: dict[str, str], inputs: dict[str, str]) -> str
     return hashlib.sha256("\0".join(parts).encode("utf-8")).hexdigest()
 
 
-def _inside(root: Path, resolved_root: Path, rel: str) -> bool:
-    return (root / rel).resolve().is_relative_to(resolved_root)
+def _inside(root: Path) -> Callable[[str], bool]:
+    """A test of whether ``root / rel`` resolves inside ``root``.
+
+    Each distinct directory is resolved once, on its first test; a path is
+    resolved whole only when it is a symbolic link or ends in ``..``.
+    """
+    resolved_root = root.resolve()
+    dirs: dict[Path, bool] = {}
+
+    def inside(rel: str) -> bool:
+        path = root / rel
+        if path.name == ".." or path.is_symlink():
+            return path.resolve().is_relative_to(resolved_root)
+        if path.parent not in dirs:
+            dirs[path.parent] = path.parent.resolve().is_relative_to(resolved_root)
+        return dirs[path.parent]
+
+    return inside
+
+
+def _sibling_manifests(run_dir: Path, stage: str) -> Iterator[tuple[Path, StageManifest]]:
+    """Each other run directory under ``run_dir``'s root, in sorted order,
+    with its manifest for ``stage``, where it has one this version can read."""
+    for sibling in sorted(run_dir.parent.iterdir()):
+        if sibling == run_dir or not sibling.is_dir():
+            continue
+        try:
+            manifest = _load_manifest(sibling, stage)
+        except (OSError, StageError):
+            continue  # not a run directory this version can read
+        if manifest is not None:
+            yield sibling, manifest
 
 
 def _reuse(stage: str, key: str, run_dir: Path, signatures: dict) -> Optional[StageManifest]:
@@ -802,21 +867,12 @@ def _reuse(stage: str, key: str, run_dir: Path, signatures: dict) -> Optional[St
     that shares the file; each directory's next run finds it by hash. The
     manifest written records ``signatures``, this run's, not the sibling's.
     """
-    resolved_run_dir = run_dir.resolve()
-    for sibling in sorted(run_dir.parent.iterdir()):
-        if sibling == run_dir or not sibling.is_dir():
+    in_run_dir = _inside(run_dir)
+    for sibling, manifest in _sibling_manifests(run_dir, stage):
+        if manifest.key != key:
             continue
-        try:
-            manifest = _load_manifest(sibling, stage)
-        except (OSError, StageError):
-            continue  # not a run directory this version can read
-        if manifest is None or manifest.key != key:
-            continue
-        resolved_sibling = sibling.resolve()
-        if not all(
-            _inside(sibling, resolved_sibling, rel) and _inside(run_dir, resolved_run_dir, rel)
-            for rel in manifest.outputs
-        ):
+        in_sibling = _inside(sibling)
+        if not all(in_sibling(rel) and in_run_dir(rel) for rel in manifest.outputs):
             continue
         linked = []
         made: set[Path] = set()
@@ -847,9 +903,9 @@ def _remove_outputs(manifest: StageManifest, run_dir: Path) -> None:
     """Remove the outputs a stage's last manifest recorded before the stage
     runs again, so that a file the new run does not write is not left for a
     later stage to find. A path outside the run directory is left alone."""
-    resolved_run_dir = run_dir.resolve()
+    in_run_dir = _inside(run_dir)
     for rel in manifest.outputs:
-        if _inside(run_dir, resolved_run_dir, rel):
+        if in_run_dir(rel):
             (run_dir / rel).unlink(missing_ok=True)
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.error
-import urllib.request
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -264,12 +262,19 @@ class HttpProvider:
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
+        # imported here, so that a run with the mock provider loads no HTTP
+        # or TLS modules
+        import http.client
+        import urllib.request
+
         req = urllib.request.Request(self.url, data=body, headers=headers, method="POST")
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-            raise TransportError(f"annotation endpoint failed: {exc}") from exc
+        except (OSError, http.client.HTTPException, json.JSONDecodeError) as exc:
+            # urllib.error.URLError is an OSError; the repr keeps a raw reply
+            # line such as BadStatusLine's on the error's one line
+            raise TransportError(f"annotation endpoint failed: {exc!r}") from exc
         label = payload.get("label") if isinstance(payload, dict) else None
         if not isinstance(label, str):
             raise TransportError(f"malformed provider response: {payload!r}")

@@ -1,6 +1,8 @@
+import http.client
 import json
 import os
 import random
+import socket
 import sys
 import threading
 import time
@@ -424,6 +426,61 @@ def endpoint():
     server.server_close()
 
 
+class _RawEndpoint:
+    """A loopback socket that reads each request whole, then answers it with
+    the raw bytes ``reply`` and closes the connection."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.1)  # how often serve() looks at self.stop
+        self.url = f"http://127.0.0.1:{self.sock.getsockname()[1]}/annotate"
+        self.stop = threading.Event()
+        self.thread = threading.Thread(target=self.serve, daemon=True)
+        self.thread.start()
+
+    def serve(self):
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.sock.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(5)
+            try:
+                with conn, conn.makefile("rb") as fh:
+                    length = 0
+                    for line in iter(fh.readline, b"\r\n"):
+                        name, _, value = line.decode("latin-1").partition(":")
+                        if name.lower() == "content-length":
+                            length = int(value)
+                    fh.read(length)
+                    conn.sendall(self.reply)
+                    conn.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # a client that went away; serve the next one
+
+    def close(self):
+        self.stop.set()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+        self.sock.close()
+
+
+# replies that http.client rejects with an HTTPException, not an OSError
+BROKEN_REPLIES = {
+    "BadStatusLine": b"HELLO\r\n\r\n",
+    "IncompleteRead": b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                      b"Content-Length: 100\r\n\r\n{\"label\": ",
+}
+
+
+@pytest.fixture(params=sorted(BROKEN_REPLIES))
+def broken_endpoint(request):
+    server = _RawEndpoint(BROKEN_REPLIES[request.param])
+    yield request.param, server
+    server.close()
+
+
 class TestHttpProvider:
     def test_contract_round_trip(self, endpoint):
         url = f"http://127.0.0.1:{endpoint.server_address[1]}/annotate"
@@ -464,6 +521,27 @@ class TestHttpProvider:
         provider = HttpProvider(f"http://127.0.0.1:{endpoint.server_address[1]}/annotate")
         with pytest.raises(TransportError, match="malformed provider response"):
             provider.annotate(AnnotationRequest("theme_v1", {"text": "x"}, THEMES))
+
+    def test_broken_http_reply_is_transport_error(self, broken_endpoint):
+        error, server = broken_endpoint
+        with pytest.raises(TransportError, match="annotation endpoint failed") as exc:
+            HttpProvider(server.url, timeout=5).annotate(
+                AnnotationRequest("theme_v1", {"text": "x"}, THEMES))
+        assert isinstance(exc.value.__cause__, http.client.HTTPException)
+        assert type(exc.value.__cause__).__name__ == error
+
+    def test_broken_http_reply_fails_the_run_in_one_line(self, broken_endpoint, event_fixture,
+                                                         tmp_path, capsys):
+        _, server = broken_endpoint
+        dump = tmp_path / "events.jsonl"  # the head of the fixture, to keep the calls few
+        dump.write_text("".join(event_fixture[0].read_text().splitlines(True)[:1000]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"inputs": [str(dump)], "out_dir": str(tmp_path / "runs"),
+                                      "seed": 1,
+                                      "provider": {"kind": "http", "url": server.url}}))
+        assert main(["run", "--config", str(config), "--stages", "ingest,annotate"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'annotate': ") and err.count("\n") == 1, err
 
     def test_malformed_reply_fails_the_annotate_stage(self, endpoint, event_fixture, tmp_path):
         endpoint.reply = lambda body: ["for"]

@@ -248,7 +248,7 @@ class TestRunAndReport:
                           )["threshold"] == 0.2
         # the stages that do not read the threshold were copied, manifest and all
         changed = run_dir_for(config_from_dict(dict(raw, metrics={"hypergraph_threshold": 0.3})))
-        for stage, copied in (("groups", True), ("metrics", False), ("crosstopic", False)):
+        for stage, copied in (("groups", True), ("metrics", True), ("crosstopic", False)):
             default_m, changed_m = ((d / "manifests" / f"{stage}.json").read_text()
                                     for d in (default, changed))
             assert (default_m == changed_m) == copied, stage

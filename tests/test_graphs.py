@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
@@ -174,9 +175,16 @@ class TestPersistence:
         loaded = load_graph(
             tmp_path / "reposts.graph", read_nodes_tsv(tmp_path / "nodes.tsv"), "t", "reposts"
         )
-        assert loaded.multiplicity == g.multiplicity
-        assert loaded.events == g.events
+        assert list(loaded.multiplicity.items()) == list(g.multiplicity.items())
+        assert loaded.nodes == g.nodes
         assert network_stats(loaded) == network_stats(g)
+        # the file keeps every event and its timestamp; loading reads only
+        # the multiplicities
+        assert loaded.events is None
+        records = (tmp_path / "reposts.graph").read_bytes()[12:]
+        assert [(ordered[s], ordered[t], datetime.fromtimestamp(us / 1e6, tz=UTC))
+                for s, t, us in struct.iter_unpack("<IIq", records)] == [
+            (e.source, e.target, e.timestamp) for e in events]
 
     @pytest.mark.parametrize("head", [b"", b"not a graph", b"PNETG1\x00M\x00\x00\x00\x00"],
                              ids=["empty", "foreign", "multiplicity-mode"])

@@ -251,11 +251,12 @@ class TestDeterminism:
 
     def test_outputs_do_not_depend_on_the_hash_seed(self, completed_run, tmp_path):
         # include_neutral scores three stance groups, so a sum over a set of
-        # them would run in string-hash order; each run re-runs metrics,
-        # crosstopic and report over a copy of the completed run's stages
+        # them would run in string-hash order; with a new threshold too, each
+        # run re-runs metrics, crosstopic and report over a copy of the
+        # completed run's stages
         base = completed_run[0]
         raw = config_to_dict(base)
-        raw["metrics"] = dict(raw["metrics"], include_neutral=True)
+        raw["metrics"] = dict(raw["metrics"], include_neutral=True, hypergraph_threshold=0.5)
         src = str(Path(__file__).parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -546,6 +547,49 @@ class TestDumpSignatures:
             assert all(m.cached for m in manifests), stages
             assert str(aged_dump) not in hashed, stages
             assert hashed, stages  # run-directory outputs are still hashed
+
+    def test_new_run_dir_takes_the_hash_a_sibling_signed(self, aged_dump, tmp_path, hashed):
+        config = fixture_config(aged_dump, tmp_path / "runs")
+        run_pipeline(config)
+        changed = replace(config, metrics=replace(config.metrics, hypergraph_threshold=0.5))
+        hashed.clear()
+        manifests = run_pipeline(changed)
+        assert ran(manifests) == ["crosstopic", "report"]
+        assert str(aged_dump) not in hashed
+        assert manifests[0].inputs == {str(aged_dump): pipeline.file_hash(aged_dump)}
+        assert recorded_signatures(changed) == recorded_signatures(config)
+
+    @pytest.mark.parametrize("index", range(5), ids=["dev", "ino", "size", "mtime", "ctime"])
+    def test_sibling_signature_must_match_in_every_field(self, aged_dump, tmp_path, hashed,
+                                                         index):
+        config = fixture_config(aged_dump, tmp_path / "runs")
+        run_pipeline(config, stages=["ingest"])
+        path = run_dir_for(config) / "manifests" / "ingest.json"
+        manifest = json.loads(path.read_text())
+        manifest["signatures"][str(aged_dump)][index] += 1
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        changed = replace(config, metrics=replace(config.metrics, hypergraph_threshold=0.5))
+        hashed.clear()
+        run_pipeline(changed, stages=["ingest"])
+        assert hashed[str(aged_dump)] == 1
+
+    def test_cached_rerun_reads_no_sibling_manifest(self, aged_dump, tmp_path, monkeypatch):
+        config = fixture_config(aged_dump, tmp_path / "runs")
+        changed = replace(config, metrics=replace(config.metrics, hypergraph_threshold=0.5))
+        run_pipeline(config)
+        run_pipeline(changed)
+        loaded = []
+        real = pipeline._load_manifest
+
+        def recording(run_dir, stage):
+            loaded.append(Path(run_dir))
+            return real(run_dir, stage)
+
+        monkeypatch.setattr(pipeline, "_load_manifest", recording)
+        for c in (config, changed):
+            loaded.clear()
+            assert all(m.cached for m in run_pipeline(c))
+            assert set(loaded) == {run_dir_for(c)}
 
     @pytest.mark.parametrize("edit", ["append", "same-size", "mtime-restored"])
     def test_edited_dump_is_hashed_and_reruns_ingest(self, aged_dump, tmp_path, hashed, edit):
@@ -1048,9 +1092,11 @@ def in_root_of(base: PipelineConfig, root: Path) -> Path:
 
 
 class TestStageKeys:
-    # Each top-level config field, the base run, a change to the field, and
-    # the stages that must run again in that base run's root; every other
-    # stage is copied from the base run. Written out by hand, not derived
+    # Each top-level config field and each metrics flag, the base run, a
+    # change to it, and the stages that must run again in that base run's
+    # root; every other stage is copied from the base run, and must come out
+    # as a cold run's: metrics and crosstopic each read only their own
+    # metrics flags. Written out by hand, not derived
     # from pipeline._STAGE_READS. Each stage reads only the paths it
     # declares, so a stage whose key changed but whose outputs came out
     # byte-identical, or whose changed outputs no later stage reads, lets
@@ -1077,12 +1123,11 @@ class TestStageKeys:
         "detection": ("whole", lambda w: {"max_groups": 5, "runs": 4, "iters": 10,
                                           "collapse_multigraph": False},
                       ["groups", "metrics", "crosstopic", "report"]),
-        "metrics": ("whole", lambda w: {"include_neutral": False,
-                                        "simpson_include_neutral": False,
-                                        "hypergraph_threshold": 0.5,
-                                        "hypergraph_inclusive": False,
-                                        "nmi_normalization": "mean"},
-                    ["metrics", "crosstopic", "report"]),
+        "metrics.include_neutral": ("whole", lambda w: True, ["metrics", "report"]),
+        "metrics.simpson_include_neutral": ("whole", lambda w: True, ["metrics", "report"]),
+        "metrics.hypergraph_threshold": ("whole", lambda w: 0.5, ["crosstopic", "report"]),
+        "metrics.hypergraph_inclusive": ("whole", lambda w: True, ["crosstopic", "report"]),
+        "metrics.nmi_normalization": ("whole", lambda w: "min", ["crosstopic", "report"]),
         "stance_sample_k": ("whole", lambda w: 3,
                             ["annotate", "groups", "metrics", "crosstopic", "report"]),
         "annotate_on": ("sampled", lambda w: "sampled", list(STAGES[1:])),
@@ -1091,7 +1136,9 @@ class TestStageKeys:
 
     def test_cases_cover_every_config_field(self, slice_bases):
         _, bases = slice_bases
-        assert sorted(self.CASES) == sorted(config_to_dict(bases["whole"]))
+        raw = config_to_dict(bases["whole"])
+        flags = [f"metrics.{flag}" for flag in raw.pop("metrics")]
+        assert sorted(self.CASES) == sorted([*raw, *flags])
 
     def changed_config(self, slice_bases, field):
         """The case's base config and the config with its field changed."""
@@ -1099,8 +1146,12 @@ class TestStageKeys:
         base_name, change, _ = self.CASES[field]
         base = bases[base_name]
         raw = config_to_dict(base)
-        assert raw[field] != change(work)
-        raw[field] = change(work)
+        section, _, name = field.rpartition(".")
+        values = dict(raw[section]) if section else raw  # a section is the config's own dict
+        assert values[name] != change(work)
+        values[name] = change(work)
+        if section:
+            raw[section] = values
         return base, config_from_dict(raw)
 
     @pytest.mark.parametrize("field", sorted(CASES))
@@ -1128,8 +1179,8 @@ class TestStageKeys:
         changed = replace(base, metrics=replace(base.metrics, hypergraph_threshold=0.5))
         with caplog.at_level(logging.INFO, logger="polarnet"):
             first = run_pipeline(changed, run_root=root)
-        assert [m.cached for m in first] == [True] * 4 + [False] * 3
-        for stage in STAGES[:4]:
+        assert [m.cached for m in first] == [True] * 5 + [False] * 2
+        for stage in STAGES[:5]:
             assert f"stage {stage}: reused from {run_dir_for(base).name}" in caplog.messages
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="polarnet"):
@@ -1147,7 +1198,7 @@ class TestStageKeys:
         for m in manifests:
             for rel in m.outputs:
                 linked = os.path.samefile(run_dir / rel, sibling / rel)
-                assert linked == (m.stage in STAGES[:4]), (m.stage, rel)
+                assert linked == (m.stage in STAGES[:5]), (m.stage, rel)
 
     def test_writers_replace_linked_outputs(self, slice_bases, tmp_path, monkeypatch):
         # Every stage runs in a directory whose files are all hard links to
@@ -1181,42 +1232,77 @@ class TestStageKeys:
         manifests = run_pipeline(changed, run_root=root)
         # ingest runs; annotate's inputs are then the untampered bytes, which
         # the sibling's annotate manifest recorded, so it is copied again
-        assert ran(manifests) == ["ingest", "metrics", "crosstopic", "report"]
+        assert ran(manifests) == ["ingest", "crosstopic", "report"]
         assert tampered.read_bytes() != (run_dir_for(changed, root) / "corpus"
                                          / "reposts.jsonl").read_bytes()
         run_pipeline(changed, run_root=tmp_path / "cold")
         assert tree_bytes(run_dir_for(changed, root)) == tree_bytes(
             run_dir_for(changed, tmp_path / "cold"))
 
-    @pytest.mark.parametrize("escape", ["dotdot", "symlink"])
+    @pytest.mark.parametrize("escape, expected", [
+        ("dotdot", ["ingest", "crosstopic", "report"]),
+        ("symlink", ["ingest", "crosstopic", "report"]),
+        ("dirlink", ["groups", "crosstopic", "report"]),
+    ], ids=["dotdot", "symlink", "dirlink"])
     def test_sibling_output_outside_its_directory_is_not_copied(self, slice_bases, tmp_path,
-                                                                escape):
+                                                                escape, expected):
         base = slice_bases[1]["whole"]
         root = in_root_of(base, tmp_path / "root")
         sibling = run_dir_for(base, root)
-        outside = tmp_path / "outside.txt"
+        outside = tmp_path / "outside"
+        outside.mkdir()
         if escape == "dotdot":
             # an extra output two levels up, with its true hash
-            outside.write_text("not a run output\n", encoding="utf-8")
+            (outside / "outside.txt").write_text("not a run output\n", encoding="utf-8")
             path = sibling / "manifests" / "ingest.json"
             manifest = json.loads(path.read_text())
-            manifest["outputs"]["../../outside.txt"] = pipeline.file_hash(outside)
+            manifest["outputs"]["../../outside/outside.txt"] = pipeline.file_hash(
+                outside / "outside.txt")
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        else:
+        elif escape == "symlink":
             # a recorded output that is a link to identical bytes elsewhere
             linked = sibling / "corpus" / "reposts.jsonl"
-            outside.write_bytes(linked.read_bytes())
+            (outside / "reposts.jsonl").write_bytes(linked.read_bytes())
             linked.unlink()
+            linked.symlink_to(outside / "reposts.jsonl")
+        else:
+            # a topic's groups directory that is a link to identical files elsewhere
+            linked = sorted((sibling / "groups").iterdir())[0]
+            shutil.copytree(linked, outside, dirs_exist_ok=True)
+            shutil.rmtree(linked)
             linked.symlink_to(outside)
-        before = outside.read_bytes()
+        before = tree_bytes(outside)
         changed = replace(base, metrics=replace(base.metrics, hypergraph_threshold=0.5))
         manifests = run_pipeline(changed, run_root=root)
-        assert ran(manifests) == ["ingest", "metrics", "crosstopic", "report"]
-        assert outside.read_bytes() == before
-        assert not (root / "outside.txt").exists()
+        assert ran(manifests) == expected
+        assert tree_bytes(outside) == before
+        run_dir = run_dir_for(changed, root)
+        assert not any(os.path.samefile(run_dir / rel, outside / rel.name)
+                       for rel in walk_files(run_dir) if (outside / rel.name).exists())
         run_pipeline(changed, run_root=tmp_path / "cold")
-        assert tree_bytes(run_dir_for(changed, root)) == tree_bytes(
-            run_dir_for(changed, tmp_path / "cold"))
+        assert tree_bytes(run_dir) == tree_bytes(run_dir_for(changed, tmp_path / "cold"))
+
+    @pytest.mark.parametrize("escape", ["dotdot", "parent", "dirlink"])
+    def test_outputs_outside_the_run_dir_are_not_removed(self, slice_bases, tmp_path, escape):
+        # the outputs a manifest lists are removed before its stage runs
+        # again, but only those inside the run directory
+        base = slice_bases[1]["whole"]
+        run_dir = run_dir_for(base, in_root_of(base, tmp_path / "root"))
+        manifest = pipeline._load_manifest(run_dir, "groups")
+        inside = list(manifest.outputs)
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "partition.tsv").write_text("a\t0\n", encoding="utf-8")
+        if escape == "dotdot":
+            manifest.outputs["../../outside/partition.tsv"] = "not checked"
+        elif escape == "parent":
+            manifest.outputs["groups/../.."] = "not checked"  # the run root, a directory
+        else:
+            (run_dir / "groups" / "linked").symlink_to(outside, target_is_directory=True)
+            manifest.outputs["groups/linked/partition.tsv"] = "not checked"
+        pipeline._remove_outputs(manifest, run_dir)
+        assert (outside / "partition.tsv").read_text(encoding="utf-8") == "a\t0\n"
+        assert not any((run_dir / rel).exists() for rel in inside)
 
 
 def test_writer_creates_the_directory_of_a_new_path(tmp_path):
