@@ -8,20 +8,20 @@ stage reads only the config fields and the output paths of earlier
 stages that it declares. A stage's manifest records the hashes of those
 inputs and of its own outputs, and the stage's key: the hash of the
 config fields it reads, the tool version and its input hashes. A stage
-is cached when its manifest has the current key and its outputs verify.
-On a miss the runner hard-links the outputs of the first sibling run
+is current when its manifest has the current key and its outputs verify;
+its outputs are hashed only when the key matches. One rule decides every
+stage a call touches, the requested ones and those upstream of them, in
+pipeline order, each manifest loaded once. A current stage is cached. On
+a miss a requested stage takes the outputs of the first sibling run
 directory under the same root whose manifest for the stage has that key
-and whose linked outputs verify (a constructive trace, in the terms of
-Mokhov, Mitchell & Peyton Jones, "Build systems a la carte", ICFP 2018);
-only without one does the stage run. Linked outputs are shared, never
-written through: every writer removes its path and creates a new file
-(``files.open_new``). A stage refuses to run when the output of a stage
-it reads, directly or through another, changed or vanished behind that
-stage's manifest, or when that stage ran on inputs that have changed
-since. Each manifest is loaded, and its outputs and inputs verified,
-once per ``run_pipeline`` call. ``run_pipeline`` is the only way a stage
-runs: every ``polarnet`` command that produces a stage output goes
-through it.
+and whose linked outputs verify, as hard links (a constructive trace, in
+the terms of Mokhov, Mitchell & Peyton Jones, "Build systems a la carte",
+ICFP 2018); only without one does the stage run. Linked outputs are
+shared, never written through: every writer removes its path and creates
+a new file (``files.open_new``). A stage that was not requested is never
+run, linked or cleaned: when it is not current, the requested stage that
+reads it refuses to run. ``run_pipeline`` is the only way a stage runs:
+every ``polarnet`` command that produces a stage output goes through it.
 
 A dump is hashed again only when its stat signature differs from the one
 ingest's manifest recorded with its hash (``_dump_hashes``), so a cached
@@ -701,13 +701,6 @@ def _write_manifest(run_dir: Path, manifest: StageManifest) -> None:
     os.replace(partial, path)
 
 
-def _refresh_signatures(run_dir: Path, manifest: StageManifest, signatures: dict) -> None:
-    """Record the dumps' current signatures in a manifest whose inputs verified."""
-    if manifest.signatures != signatures:
-        manifest.signatures = signatures
-        _write_manifest(run_dir, manifest)
-
-
 def _stale_outputs(manifest: StageManifest, run_dir: Path) -> tuple[list[str], list[str]]:
     """A manifest's recorded outputs that are gone, and diff lines for those
     whose bytes changed."""
@@ -723,13 +716,15 @@ def _stale_outputs(manifest: StageManifest, run_dir: Path) -> tuple[list[str], l
     return missing, changed
 
 
-def _upstream(stage: str) -> set[str]:
-    """The stages whose outputs ``stage`` reads, directly or through another."""
-    return {s for p in _STAGE_READS[stage].paths for s in (p, *_upstream(p))}
+# each stage's upstream: the stages whose outputs it reads, directly or through another
+_UPSTREAM: dict[str, frozenset[str]] = {}
+for _stage in STAGES:
+    _UPSTREAM[_stage] = frozenset(
+        s for p in _STAGE_READS[_stage].paths for s in (p, *_UPSTREAM[p]))
 
 
 def _declared_inputs(
-    stage: str, config: PipelineConfig, run_dir: Path, verified: dict,
+    stage: str, config: PipelineConfig, run_dir: Path, outputs: dict,
     manifest: Optional[StageManifest],
 ) -> tuple[dict[str, str], dict[str, list[int]]]:
     """A stage's inputs and the dump signatures to record with them.
@@ -737,58 +732,19 @@ def _declared_inputs(
     Ingest's inputs are every file the config's input globs match now,
     hashed unless ``manifest``, the stage's manifest in ``run_dir``, or a
     sibling's vouches for them (``_dump_hashes``); any other stage's are the
-    verified outputs of its producers that it declares, and it records no
-    signatures.
+    outputs of its producers that it declares, from ``outputs``, which maps
+    each producer to the output hashes of its current manifest (None
+    without one), and it records no signatures.
     """
     if stage == "ingest":
         return _dump_hashes(input_files(config.inputs), manifest, run_dir)
     inputs = {}
     for producer, patterns in _STAGE_READS[stage].paths.items():
-        outputs = verified[producer] or {}
+        produced = outputs[producer] or {}
         for pattern in patterns:
             pattern = pattern(config) if callable(pattern) else pattern
-            inputs.update((rel, outputs[rel]) for rel in fnmatch.filter(outputs, pattern))
+            inputs.update((rel, produced[rel]) for rel in fnmatch.filter(produced, pattern))
     return inputs, {}
-
-
-def _inputs(
-    stage: str, config: PipelineConfig, run_dir: Path, verified: dict,
-    own: Optional[StageManifest],
-) -> tuple[dict[str, str], dict[str, list[int]]]:
-    """The inputs ``stage`` declares (``_STAGE_READS``) and their signatures
-    (``_declared_inputs``, given ``own``, the stage's manifest), once every
-    stage it reads, directly or through another, is verified.
-
-    ``verified`` maps each stage seen in this call to its verified output
-    hashes (None without a manifest); a stage not seen yet is loaded and
-    verified here, once, against its own outputs and against its inputs,
-    which must still be the inputs it declares, with the same hashes.
-    """
-    upstream = _upstream(stage)
-    changed = []
-    for prior in STAGES:
-        if prior not in upstream or prior in verified:
-            continue
-        manifest = _load_manifest(run_dir, prior)
-        if manifest is not None:
-            missing, diff = _stale_outputs(manifest, run_dir)
-            if missing:
-                raise StageError(stage, f"{missing[0]!r} of stage '{prior}' is missing; "
-                                        f"run stage '{prior}' again")
-            changed += diff
-            inputs, signatures = _declared_inputs(prior, config, run_dir, verified, manifest)
-            if manifest.inputs != inputs:
-                raise StageError(stage, f"stage '{prior}' ran on inputs that have changed "
-                                        f"since; run stage '{prior}' again")
-            _refresh_signatures(run_dir, manifest, signatures)
-        verified[prior] = None if manifest is None else manifest.outputs
-    reads = _STAGE_READS[stage]
-    for need in reads.paths:
-        if need not in reads.optional and verified[need] is None:
-            raise StageError(stage, f"stage '{need}' has no manifest; run stage '{need}' first")
-    if changed:
-        raise HashMismatchError(stage, changed)
-    return _declared_inputs(stage, config, run_dir, verified, own)
 
 
 def config_json(config: PipelineConfig) -> dict[str, str]:
@@ -953,14 +909,20 @@ def run_pipeline(
     stages: Optional[list[str]] = None,
     run_root: Optional[Path] = None,
 ) -> list[StageManifest]:
-    """Execute the requested stages in pipeline order.
+    """Execute the requested stages in pipeline order; return their manifests.
 
-    A stage is cached when its manifest has the stage's current key and
-    its outputs verify. Otherwise the outputs its manifest recorded are
-    removed, and its outputs are linked from a sibling run directory with
-    that key, or it runs. A requested stage whose upstream manifests are
-    missing fails fast, naming the stage that must run first; one whose
-    upstream outputs changed on disk is refused with a hash diff.
+    One rule decides each requested stage and each stage upstream of one,
+    in pipeline order: a stage is current when its manifest has the stage's
+    key, computed from the outputs of the stages decided before it, and its
+    outputs verify. Outputs are hashed only when the key matches. A current
+    stage is cached. A requested stage that is not current has the outputs
+    its manifest recorded removed, and its outputs are linked from a
+    sibling run directory with that key, or it runs. A stage that was not
+    requested is never run, linked or cleaned: when it has a manifest and
+    is not current, the call fails on the first requested stage that reads
+    it, naming the missing output, the hash diff or the key mismatch. A
+    requested stage fails fast when a stage it must read has no manifest,
+    naming the stage to run first.
     """
     selected = list(STAGES) if stages is None else [s for s in STAGES if s in stages]
     if stages is not None:
@@ -971,25 +933,49 @@ def run_pipeline(
     _stamp_config(run_dir / "config.json", config_to_dict(config))
     fields = config_json(config)
 
-    verified: dict[str, Optional[dict[str, str]]] = {}
+    touched = set(selected).union(*(_UPSTREAM[s] for s in selected))
+    outputs: dict[str, Optional[dict[str, str]]] = {}  # per decided stage; None: no manifest
     manifests = []
-    for stage in selected:
+    for stage in (s for s in STAGES if s in touched):
         manifest = _load_manifest(run_dir, stage)
-        inputs, signatures = _inputs(stage, config, run_dir, verified, manifest)
+        requested = stage in selected
+        if requested:
+            reads = _STAGE_READS[stage]
+            for need in reads.paths:
+                if need not in reads.optional and outputs[need] is None:
+                    raise StageError(stage, f"stage '{need}' has no manifest; "
+                                            f"run stage '{need}' first")
+        elif manifest is None:
+            outputs[stage] = None
+            continue
+        inputs, signatures = _declared_inputs(stage, config, run_dir, outputs, manifest)
         key = stage_key(stage, fields, inputs)
-        if (
-            manifest is not None
-            and manifest.key == key
-            and not any(_stale_outputs(manifest, run_dir))
-        ):
-            _refresh_signatures(run_dir, manifest, signatures)
+        current = manifest is not None and manifest.key == key
+        if current:
+            missing, changed = _stale_outputs(manifest, run_dir)
+            current = not missing and not changed
+        if current:
+            if manifest.signatures != signatures:  # ingest's dumps, stat'ed again
+                manifest.signatures = signatures
+                _write_manifest(run_dir, manifest)
             manifest.cached = True
             log.info("stage %s: cached", stage)
-        else:
+        elif requested:
             if manifest is not None:
                 _remove_outputs(manifest, run_dir)
             manifest = (_reuse(stage, key, run_dir, signatures)
                         or _run_stage(stage, config, run_dir, key, inputs, signatures))
-        verified[stage] = manifest.outputs
-        manifests.append(manifest)
+        else:
+            reader = next(s for s in selected if stage in _UPSTREAM[s])
+            if manifest.key != key:
+                raise StageError(reader, f"stage '{stage}' is out of date: its inputs, the "
+                                         f"config fields it reads or the tool version changed "
+                                         f"since it ran; run stage '{stage}' again")
+            if missing:
+                raise StageError(reader, f"{missing[0]!r} of stage '{stage}' is missing; "
+                                         f"run stage '{stage}' again")
+            raise HashMismatchError(reader, changed)
+        outputs[stage] = manifest.outputs
+        if requested:
+            manifests.append(manifest)
     return manifests

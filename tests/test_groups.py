@@ -337,13 +337,17 @@ class TestNearTies:
     exact arithmetic but whose floats differ in the last bit. ``_EPS`` keeps
     the first option; without it the search follows the rounding."""
 
-    def test_sweep_keeps_a_node_whose_move_only_rounds_lower(self):
+    @staticmethod
+    def star_state():
         # one block holding a 3-edge star and 4 isolated nodes: moving the
         # centre alone to the empty block gains exactly log 8 in fit and
         # costs exactly log 8 in block sizes
         g = net([("c", "l1"), ("c", "l2"), ("c", "l3")],
                 nodes=["c", "l1", "l2", "l3", "z1", "z2", "z3", "z4"])
-        state = search_state(g, 2)
+        return g, search_state(g, 2)
+
+    def test_sweep_keeps_a_node_whose_move_only_rounds_lower(self):
+        g, state = self.star_state()
         assert state.nodes[0] == "c" and state.assignment == [0] * 8
         moved = search_state(g, 2)
         moved.assignment = [1] + [0] * 7
@@ -351,6 +355,24 @@ class TestNearTies:
         assert exact_weight(moved) == exact_weight(state)
         assert state.deltas(0, state.block_weights(0), range(2))[1] < 0.0
         assert state.sweep([0]) == 0
+        assert state.assignment == [0] * 8
+
+    def test_split_mini_sweep_keeps_a_node_whose_move_only_rounds_lower(self, monkeypatch):
+        _, state = self.star_state()
+        moved = []
+        move = state.move
+        monkeypatch.setattr(state, "move", lambda i, *rest: (moved.append(i), move(i, *rest)))
+
+        class KeepAll:
+            """A bisection coin that never moves a node."""
+
+            def random(self):
+                return 0.9
+
+        # so only the mini-sweeps could move the centre, and its move to the
+        # empty block rounds lower by less than _EPS
+        assert not state.split_pass(KeepAll())
+        assert moved == []
         assert state.assignment == [0] * 8
 
     def test_merge_keeps_the_first_of_two_equal_merges(self):

@@ -386,6 +386,29 @@ class TestFailFast:
         summary = json.loads((run_dir_for(config) / "report" / "summary.json").read_text())
         assert all(v == "ok" for v in summary["sections"].values()), summary
 
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_partial_and_full_runs_agree_on_an_upstream_key(self, event_fixture, tmp_path,
+                                                            legacy):
+        # a manifest with another key, or written before stage keys (a
+        # config hash and no key), is out of date for a partial run as for
+        # a full one
+        event_path, _ = event_fixture
+        config = fixture_config(event_path, tmp_path)
+        run_pipeline(config)
+        path = run_dir_for(config) / "manifests" / "metrics.json"
+        manifest = json.loads(path.read_text())
+        if legacy:
+            manifest["config_hash"] = config_hash(config)
+            del manifest["key"]
+        else:
+            manifest["key"] = "0" * 64
+        write_json(path, manifest)
+        with pytest.raises(StageError) as exc:
+            run_pipeline(config, stages=["report"])
+        assert exc.value.stage == "report"
+        assert exc.value.reason.endswith("run stage 'metrics' again")
+        assert ran(run_pipeline(config)) == ["metrics"]
+
     def test_stage_run_before_a_later_optional_stage_stays_current(
         self, event_fixture, tmp_path
     ):
@@ -547,6 +570,7 @@ class TestDumpSignatures:
             assert all(m.cached for m in manifests), stages
             assert str(aged_dump) not in hashed, stages
             assert hashed, stages  # run-directory outputs are still hashed
+            assert set(hashed.values()) == {1}, (stages, hashed.most_common(3))
 
     def test_new_run_dir_takes_the_hash_a_sibling_signed(self, aged_dump, tmp_path, hashed):
         config = fixture_config(aged_dump, tmp_path / "runs")
@@ -1187,6 +1211,25 @@ class TestStageKeys:
             again = run_pipeline(changed, run_root=root)
         assert all(m.cached for m in again)
         assert caplog.messages == [f"stage {stage}: cached" for stage in STAGES]
+
+    def test_stage_by_stage_calls_match_a_full_run(self, slice_bases, tmp_path):
+        # one call per stage, as the traced benchmark runs them
+        base = slice_bases[1]["whole"]
+        root = tmp_path / "root"
+        for stage in STAGES:
+            assert ran(run_pipeline(base, stages=[stage], run_root=root)) == [stage]
+        run_dir = run_dir_for(base, root)
+        assert tree_bytes(run_dir) == tree_bytes(run_dir_for(base))
+        assert all(m.cached for m in run_pipeline(base, run_root=root))
+
+        changed = replace(base, metrics=replace(base.metrics, hypergraph_threshold=0.5))
+        for stage in STAGES:
+            [manifest] = run_pipeline(changed, stages=[stage], run_root=root)
+            linked = stage in STAGES[:5]
+            assert manifest.cached == linked, stage
+            for rel in manifest.outputs:
+                assert os.path.samefile(run_dir_for(changed, root) / rel,
+                                        run_dir / rel) == linked, rel
 
     def test_reused_outputs_are_links_to_the_siblings(self, slice_bases, tmp_path):
         base = slice_bases[1]["whole"]
